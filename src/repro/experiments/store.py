@@ -10,19 +10,11 @@ platform config, placement, fault plan, seed and trace scale — replays
 the stored :class:`~repro.engine.stats.SimResult` without touching an
 engine.
 
-Durability contract (the same one the trace cache and journal follow):
-
-* **Append-only, atomic records.**  Each record is one JSON line
-  written with a single ``os.write`` to an ``O_APPEND`` descriptor, so
-  concurrent sweeps on one host interleave whole records, never bytes.
-* **Versioned + checksummed.**  Records carry a schema version and a
-  CRC32 over the payload; a version bump or flipped bit invalidates
-  only that record.
-* **Corrupt means recompute, never crash.**  A torn final line (crash
-  or chaos-truncation mid-write), a CRC mismatch, or an unpicklable
-  payload is warned about and skipped — the cell simply misses and is
-  re-simulated, after which the fresh record supersedes the bad one
-  (last writer wins on duplicate keys).
+Each shard is a :class:`~repro.crclog.CrcLog` (DESIGN §10, "Durable
+append logs"): a torn, bit-flipped, other-version or unpicklable
+record is warned about and skipped, so the cell simply misses and is
+re-simulated, after which the fresh record supersedes the bad one
+(last writer wins on duplicate keys).
 
 ``wall_seconds`` is stripped on ``put``: a replayed result spent no
 engine time, and the zero is the honest signal warm-store gates assert
@@ -34,15 +26,15 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import os
 import pickle
 import sys
-import zlib
 from pathlib import Path
+
+from repro.crclog import CrcLog
 
 #: Record schema version; bump on any incompatible change (old records
 #: then read as misses and are recomputed).
-SCHEMA = 1
+SCHEMA = 2
 
 #: Shard fan-out: records land in shard-<first hex digit>.jsonl.
 _SHARD_DIGITS = "0123456789abcdef"
@@ -68,96 +60,31 @@ class ResultStore:
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._logs = {
+            digit: CrcLog(self.root / f"shard-{digit}.jsonl", SCHEMA,
+                          "result store")
+            for digit in _SHARD_DIGITS
+        }
         #: Parsed shards: shard digit -> {key: SimResult}.
         self._shards: dict = {}
-        #: Open append descriptors, one per dirty shard.
-        self._fds: dict = {}
         self.hits = 0
         self.misses = 0
         self.puts = 0
-        self.corrupt_records = 0
 
-    # ------------------------------------------------------------------
-    # Shard IO
-    # ------------------------------------------------------------------
+    @property
+    def corrupt_records(self) -> int:
+        """Bad lines skipped by every shard read so far."""
+        return sum(log.corrupt for log in self._logs.values())
 
-    def _shard_path(self, digit: str) -> Path:
-        return self.root / f"shard-{digit}.jsonl"
-
-    def _warn(self, message: str) -> None:
-        print(f"result store: {message}", file=sys.stderr)
-
-    def _load_shard(self, digit: str) -> dict:
-        """Parse one shard tolerantly; corrupt records warn and skip."""
-        cached = self._shards.get(digit)
-        if cached is not None:
-            return cached
-        records: dict = {}
-        path = self._shard_path(digit)
-        if path.exists():
-            bad = 0
-            with open(path, "rb") as fh:
-                for lineno, raw in enumerate(fh, start=1):
-                    line = raw.strip()
-                    if not line:
-                        continue
-                    result = self._decode(line)
-                    if result is None:
-                        bad += 1
-                        continue
-                    key, sim_result = result
-                    records[key] = sim_result  # last writer wins
-            if bad:
-                self.corrupt_records += bad
-                self._warn(
-                    f"{path.name}: skipped {bad} corrupt record(s) "
-                    f"(torn append or bit rot); affected cells will be "
-                    f"re-simulated"
-                )
-        self._shards[digit] = records
-        return records
-
-    def _decode(self, line: bytes):
-        """(key, SimResult) from one record line; None when corrupt."""
-        try:
-            record = json.loads(line)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if not isinstance(record, dict) or record.get("v") != SCHEMA:
-            return None
-        key = record.get("key")
-        blob = record.get("blob")
-        if not isinstance(key, str) or not isinstance(blob, str):
-            return None
-        payload = blob.encode("ascii")
-        if zlib.crc32(payload) != record.get("crc"):
-            return None
-        try:
-            return key, pickle.loads(base64.b64decode(payload))
-        except Exception:
-            return None
-
-    def _append(self, digit: str, line: bytes) -> None:
-        fd = self._fds.get(digit)
-        if fd is None:
-            path = self._shard_path(digit)
-            # A crash mid-append leaves a torn final line with no
-            # newline; appending straight onto it would glue the fresh
-            # record to the garbage and lose both.  Heal the boundary
-            # first so the torn bytes become one isolated bad line.
-            try:
-                with open(path, "rb") as fh:
-                    fh.seek(-1, os.SEEK_END)
-                    torn_tail = fh.read(1) != b"\n"
-            except (OSError, ValueError):
-                torn_tail = False  # absent or empty shard
-            fd = os.open(
-                path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
-            )
-            self._fds[digit] = fd
-            if torn_tail:
-                os.write(fd, b"\n")
-        os.write(fd, line)
+    def _shard(self, digit: str) -> dict:
+        shard = self._shards.get(digit)
+        if shard is None:
+            log = self._logs.get(digit)
+            if log is None:
+                return {}  # not a hex store key: always a miss
+            # dict() keeps the last record per key: last writer wins.
+            shard = self._shards[digit] = dict(log.scan(_unpickle))
+        return shard
 
     # ------------------------------------------------------------------
     # Public API
@@ -165,7 +92,7 @@ class ResultStore:
 
     def get(self, key: str):
         """The stored result for ``key``, or None (counted as a miss)."""
-        result = self._load_shard(key[0]).get(key)
+        result = self._shard(key[:1]).get(key)
         if result is None:
             self.misses += 1
             return None
@@ -186,22 +113,15 @@ class ResultStore:
         blob = base64.b64encode(
             pickle.dumps(stored, protocol=pickle.HIGHEST_PROTOCOL)
         ).decode("ascii")
-        record = {
-            "v": SCHEMA,
-            "key": key,
-            "workload": workload,
-            "protocol": protocol,
-            "crc": zlib.crc32(blob.encode("ascii")),
-            "blob": blob,
-        }
-        self._append(key[0], (json.dumps(record) + "\n").encode())
-        self._load_shard(key[0])[key] = stored
+        self._logs[key[0]].append({"key": key, "workload": workload,
+                                   "protocol": protocol, "blob": blob})
+        self._shard(key[0])[key] = stored
         self.puts += 1
 
     def scan(self) -> dict:
         """Load every shard; returns totals (for tools and tests)."""
         for digit in _SHARD_DIGITS:
-            self._load_shard(digit)
+            self._shard(digit)
         return {
             "records": sum(len(s) for s in self._shards.values()),
             "corrupt_records": self.corrupt_records,
@@ -217,9 +137,8 @@ class ResultStore:
         }
 
     def close(self) -> None:
-        for fd in self._fds.values():
-            os.close(fd)
-        self._fds.clear()
+        for log in self._logs.values():
+            log.close()
 
     def __enter__(self):
         return self
@@ -239,48 +158,11 @@ class ResultStore:
         count in ``corrupt_records`` exactly as :meth:`scan` does.
         """
         merged: dict = {}
-        for digit in _SHARD_DIGITS:
-            path = self._shard_path(digit)
-            if not path.exists():
-                continue
-            bad = 0
-            with open(path, "rb") as fh:
-                for raw in fh:
-                    line = raw.strip()
-                    if not line:
-                        continue
-                    meta = self._decode_meta(line)
-                    if meta is None:
-                        bad += 1
-                        continue
-                    meta["shard"] = path.name
-                    merged[meta["key"]] = meta
-            if bad:
-                self.corrupt_records += bad
-                self._warn(f"{path.name}: skipped {bad} corrupt "
-                           f"record(s) during scan")
+        for log in self._logs.values():
+            for meta in log.scan(_meta):
+                meta["shard"] = log.path.name
+                merged[meta["key"]] = meta
         return list(merged.values())
-
-    @staticmethod
-    def _decode_meta(line: bytes):
-        """Record metadata (CRC-validated) without the pickle cost."""
-        try:
-            record = json.loads(line)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if not isinstance(record, dict) or record.get("v") != SCHEMA:
-            return None
-        key = record.get("key")
-        blob = record.get("blob")
-        if not isinstance(key, str) or not isinstance(blob, str):
-            return None
-        if zlib.crc32(blob.encode("ascii")) != record.get("crc"):
-            return None
-        return {
-            "key": key,
-            "workload": record.get("workload"),
-            "protocol": record.get("protocol"),
-        }
 
     def summary(self) -> dict:
         """Scan digest: totals plus per-protocol/workload counts."""
@@ -302,6 +184,15 @@ class ResultStore:
             "by_workload": dict(sorted(by_workload.items())),
             "cells": sorted(records, key=lambda m: m["key"]),
         }
+
+
+def _unpickle(record: dict):
+    return record["key"], pickle.loads(base64.b64decode(record["blob"]))
+
+
+def _meta(record: dict) -> dict:
+    return {"key": record["key"], "workload": record.get("workload"),
+            "protocol": record.get("protocol")}
 
 
 # ----------------------------------------------------------------------

@@ -247,7 +247,7 @@ class Observatory:
         return None
 
     def close(self) -> None:
-        pass  # no persistent handles; symmetric with main()'s flush
+        self.metrics.close()
 
 
 class ObservatoryServer(ThreadingHTTPServer):

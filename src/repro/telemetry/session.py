@@ -12,21 +12,18 @@ A :class:`RunRegistry` is the cross-run session object: a durable
 index of every telemetry run directory, results store, and observe
 capture produced on this host, which the sweep CLI registers into the
 moment a sweep *starts* and the observability service
-(``observe --serve``) discovers from.  It follows the repo's
-append-only durability contract (single-write ``O_APPEND`` records,
-per-line CRC, corrupt lines warn and skip, last writer wins per
-directory).
+(``observe --serve``) discovers from.  It is a
+:class:`~repro.crclog.CrcLog` (DESIGN §10, "Durable append logs"); the
+last record per directory wins.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import sys
 import time
-import zlib
 from pathlib import Path
 
+from repro.crclog import CrcLog
 from repro.engine.throughput import ThroughputSink
 from repro.telemetry.interval import IntervalSampler
 from repro.telemetry.tracer import NULL_TRACER, ChromeTracer, Tracer
@@ -57,6 +54,7 @@ class RunRegistry:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.path = self.root / "registry.jsonl"
+        self._log = CrcLog(self.path, REGISTRY_SCHEMA, "run registry")
 
     # ------------------------------------------------------------------
     # Writing
@@ -71,18 +69,10 @@ class RunRegistry:
             "pid": os.getpid(),
             "info": {k: v for k, v in info.items() if v is not None},
         }
-        payload = json.dumps(record, sort_keys=True)
-        line = json.dumps({
-            "v": REGISTRY_SCHEMA,
-            "crc": zlib.crc32(payload.encode()),
-            "record": record,
-        }, sort_keys=True) + "\n"
-        fd = os.open(self.path,
-                     os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-        try:
-            os.write(fd, line.encode())
-        finally:
-            os.close(fd)
+        self._log.append(record)
+        # Close every time: a prune elsewhere may replace the file, and
+        # a held descriptor would keep appending to the unlinked one.
+        self._log.close()
         return record
 
     def register_run(self, directory, *, experiments=None, settings=None,
@@ -133,43 +123,8 @@ class RunRegistry:
         a directory wins (so ``info.status`` reflects the last update).
         Corrupt lines warn and are skipped, never raised.
         """
-        merged: dict = {}
-        bad = 0
-        if self.path.exists():
-            with open(self.path, "rb") as fh:
-                for raw in fh:
-                    line = raw.strip()
-                    if not line:
-                        continue
-                    record = self._decode(line)
-                    if record is None:
-                        bad += 1
-                        continue
-                    # Last record wins; dict assignment keeps the
-                    # key's first-registration position.
-                    merged[(record["kind"], record["dir"])] = record
-        if bad:
-            print(f"run registry: skipped {bad} corrupt record(s) in "
-                  f"{self.path}", file=sys.stderr)
-        return list(merged.values())
-
-    @staticmethod
-    def _decode(line: bytes):
-        try:
-            wrapper = json.loads(line)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if not isinstance(wrapper, dict) \
-                or wrapper.get("v") != REGISTRY_SCHEMA:
-            return None
-        record = wrapper.get("record")
-        if not isinstance(record, dict) or "kind" not in record \
-                or "dir" not in record:
-            return None
-        payload = json.dumps(record, sort_keys=True)
-        if zlib.crc32(payload.encode()) != wrapper.get("crc"):
-            return None
-        return record
+        # dict() keeps each key's first position and its last record.
+        return list(dict(self._log.scan(_keyed)).values())
 
     def _kind(self, kind: str) -> list:
         return [r for r in self.entries() if r["kind"] == kind]
@@ -209,13 +164,12 @@ class RunRegistry:
         Returns a stats dict: kept/superseded/dropped counts and bytes
         before/after.
         """
-        raw_lines = 0
-        if self.path.exists():
-            with open(self.path, "rb") as fh:
-                raw_lines = sum(1 for line in fh if line.strip())
         bytes_before = (self.path.stat().st_size
                         if self.path.exists() else 0)
-        live = self.entries()  # last-writer-wins, corrupt lines dropped
+        corrupt_before = self._log.corrupt
+        records = list(self._log.scan(_keyed))
+        raw_lines = len(records) + self._log.corrupt - corrupt_before
+        live = list(dict(records).values())  # last writer wins
         kept, dropped = [], []
         cutoff = None
         if older_than_days is not None:
@@ -241,20 +195,13 @@ class RunRegistry:
         }
         if dry_run:
             return stats
-        tmp = self.path.with_suffix(".jsonl.tmp")
-        with open(tmp, "wb") as fh:
-            for record in kept:
-                payload = json.dumps(record, sort_keys=True)
-                fh.write((json.dumps({
-                    "v": REGISTRY_SCHEMA,
-                    "crc": zlib.crc32(payload.encode()),
-                    "record": record,
-                }, sort_keys=True) + "\n").encode())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
+        self._log.compact(kept)
         stats["bytes_after"] = self.path.stat().st_size
         return stats
+
+
+def _keyed(record: dict):
+    return (record["kind"], record["dir"]), record
 
 
 class TelemetrySession:

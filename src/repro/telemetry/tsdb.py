@@ -2,12 +2,9 @@
 
 The ingestion half of the push pipeline (:mod:`repro.telemetry.metrics`
 is the client half).  A :class:`MetricsStore` accepts validated record
-batches from ``/ingest``, appends them to ``metrics.jsonl`` under the
-repo's append-only durability contract (single ``O_APPEND`` write per
-batch, per-line CRC over the sorted-key JSON payload, corrupt lines
-warn and skip — the same wrapper the
-:class:`~repro.telemetry.session.RunRegistry` uses), and folds every
-point into in-memory rollups:
+batches from ``/ingest``, appends them to ``metrics.jsonl``, a
+:class:`~repro.crclog.CrcLog` (DESIGN §10, "Durable append logs"), and
+folds every point into in-memory rollups:
 
 * one **series** per (namespace × run × metric × label set), capped to
   bound a misbehaving client's cardinality,
@@ -30,16 +27,12 @@ handlers run on ThreadingHTTPServer threads.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import re
-import sys
 import threading
 import time
-import zlib
-from pathlib import Path
 
+from repro.crclog import CrcLog
 from repro.telemetry.metrics import (METRICS_SCHEMA, expand_record,
                                      validate_record)
 
@@ -133,6 +126,13 @@ class Series:
         }
 
 
+def _batch(record: dict):
+    namespace, batch = record["namespace"], record["batch"]
+    if not isinstance(namespace, str) or not isinstance(batch, dict):
+        raise ValueError("not a metrics batch")
+    return namespace, batch
+
+
 class MetricsStore:
     """Durable, rolled-up destination for pushed metric batches."""
 
@@ -140,7 +140,8 @@ class MetricsStore:
                  windows_per_series: int = 64, max_series: int = 4096,
                  max_batch_records: int = 4096, event_buffer: int = 256,
                  replay: bool = True):
-        self.log_path = Path(log_path) if log_path else None
+        self._log = (CrcLog(log_path, METRICS_SCHEMA, "metrics store")
+                     if log_path else None)
         self.window = window
         self.windows_per_series = max(1, int(windows_per_series))
         self.max_series = max(1, int(max_series))
@@ -160,67 +161,15 @@ class MetricsStore:
         self.rejected = 0
         self.unauthorized = 0
         self.series_dropped = 0
-        self.corrupt_log_lines = 0
-        if replay and self.log_path and self.log_path.exists():
-            self._replay()
+        if replay and self._log is not None:
+            for namespace, batch in self._log.scan(_batch):
+                self._fold_batch(namespace, batch, publish=False)
 
-    # -- durability ----------------------------------------------------
-
-    def _append_log(self, namespace: str, batch: dict) -> None:
-        if self.log_path is None:
-            return
-        record = {"namespace": namespace, "batch": batch}
-        payload = json.dumps(record, sort_keys=True)
-        line = json.dumps({
-            "v": METRICS_SCHEMA,
-            "crc": zlib.crc32(payload.encode()),
-            "record": record,
-        }, sort_keys=True) + "\n"
-        self.log_path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.log_path,
-                     os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-        try:
-            os.write(fd, line.encode())
-        finally:
-            os.close(fd)
-
-    def _replay(self) -> None:
-        """Rebuild rollups from the log; corrupt lines warn and skip."""
-        bad = 0
-        with open(self.log_path, "rb") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line:
-                    continue
-                record = self._decode(line)
-                if record is None:
-                    bad += 1
-                    continue
-                self._fold_batch(record["namespace"], record["batch"],
-                                 publish=False)
-        if bad:
-            self.corrupt_log_lines += bad
-            print(f"metrics store: skipped {bad} corrupt record(s) in "
-                  f"{self.log_path}", file=sys.stderr)
-
-    @staticmethod
-    def _decode(line: bytes):
-        try:
-            wrapper = json.loads(line)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if not isinstance(wrapper, dict) \
-                or wrapper.get("v") != METRICS_SCHEMA:
-            return None
-        record = wrapper.get("record")
-        if not isinstance(record, dict) \
-                or not isinstance(record.get("namespace"), str) \
-                or not isinstance(record.get("batch"), dict):
-            return None
-        payload = json.dumps(record, sort_keys=True)
-        if zlib.crc32(payload.encode()) != wrapper.get("crc"):
-            return None
-        return record
+    def close(self) -> None:
+        """Release the log descriptor (a later ingest reopens it)."""
+        with self._lock:
+            if self._log is not None:
+                self._log.close()
 
     # -- ingestion -----------------------------------------------------
 
@@ -274,7 +223,8 @@ class MetricsStore:
             # out — no background writer to race with in tests.
             while self._queue:
                 ns, queued = self._queue.pop(0)
-                self._append_log(ns, queued)
+                if self._log is not None:
+                    self._log.append({"namespace": ns, "batch": queued})
                 self._fold_batch(ns, queued)
         return {"accepted": len(accepted), "rejected": rejected,
                 "errors": errors}
@@ -337,9 +287,10 @@ class MetricsStore:
                 "unauthorized": self.unauthorized,
                 "series": len(self._series),
                 "series_dropped": self.series_dropped,
-                "corrupt_log_lines": self.corrupt_log_lines,
+                "corrupt_log_lines":
+                    self._log.corrupt if self._log else 0,
                 "queue_depth": len(self._queue),
-                "log": str(self.log_path) if self.log_path else None,
+                "log": str(self._log.path) if self._log else None,
             }
 
     def query(self, *, namespace: str = None, run: str = None,

@@ -1,11 +1,12 @@
-"""Two processes appending to one store shard / journal heal safely.
+"""Two processes appending to one log, store shard or journal heal safely.
 
-The store and journal both promise single-write O_APPEND records plus
-a heal-on-first-open of any torn trailing line.  That contract has to
-hold when *two* writer processes share the file: each may race the
-torn-tail probe, but because every record lands in one complete
-``os.write`` the worst outcome is an extra blank heal line — never a
-lost or double-counted record, and never a record glued onto garbage.
+Every :class:`~repro.crclog.CrcLog` promises single-write O_APPEND
+records plus a heal-on-first-open of any torn trailing line.  That
+contract has to hold when *two* writer processes share the file: each
+may race the torn-tail probe, but because every record lands in one
+complete ``os.write`` the worst outcome is an extra blank heal line —
+never a lost or double-counted record, and never a record glued onto
+garbage.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import multiprocessing
 from dataclasses import dataclass, field
 
 from repro.config import SystemConfig
+from repro.crclog import CrcLog
 from repro.experiments.journal import RunJournal
 from repro.experiments.store import ResultStore
 from repro.faults.chaos import truncate_tail
@@ -56,6 +58,13 @@ def _journal_writer(root, tag):
     journal.close()
 
 
+def _crclog_writer(path, tag):
+    log = CrcLog(path, 1, "test log")
+    for i in range(PER_WRITER):
+        log.append({"tag": tag, "i": i})
+    log.close()
+
+
 def _run_writers(target, root):
     procs = [multiprocessing.Process(target=target, args=(root, tag))
              for tag in ("a", "b")]
@@ -64,6 +73,23 @@ def _run_writers(target, root):
     for proc in procs:
         proc.join(timeout=60)
         assert proc.exitcode == 0
+
+
+class TestCrcLogConcurrentWriters:
+    def test_torn_tail_healed_no_loss_no_dup(self, tmp_path, capsys):
+        path = tmp_path / "log.jsonl"
+        seed = CrcLog(path, 1, "test log")
+        seed.append({"tag": "seed", "i": 0})
+        seed.close()
+        truncate_tail(path, nbytes=5)  # crash mid-append
+
+        _run_writers(_crclog_writer, path)
+
+        reader = CrcLog(path, 1, "test log")
+        records = sorted((r["tag"], r["i"]) for r in reader.scan())
+        assert records == [(tag, i) for tag in ("a", "b")
+                           for i in range(PER_WRITER)]
+        assert reader.corrupt == 1  # just the healed torn line
 
 
 class TestStoreConcurrentWriters:

@@ -9,7 +9,6 @@ byte-identical to the serial reference.
 from __future__ import annotations
 
 import hmac
-import json
 import os
 import signal
 import socket
@@ -18,13 +17,13 @@ import subprocess
 import sys
 import threading
 import time
-import zlib
 from collections import deque
 from pathlib import Path
 
 import pytest
 
 from repro.config import SystemConfig
+from repro.crclog import frame
 from repro.experiments.fabric_net import (
     _WELCOME,
     FrameBuffer,
@@ -427,10 +426,7 @@ def _crafted_record(directory, kind="run", registered="2000-01-01T00:00:00"):
     """A registry line with a forged timestamp (prune retention tests)."""
     record = {"kind": kind, "dir": str(Path(directory).resolve()),
               "registered": registered, "pid": 1, "info": {}}
-    payload = json.dumps(record, sort_keys=True)
-    return json.dumps({"v": REGISTRY_SCHEMA,
-                       "crc": zlib.crc32(payload.encode()),
-                       "record": record}, sort_keys=True) + "\n"
+    return frame(record, REGISTRY_SCHEMA).decode()
 
 
 class TestRegistryPrune:

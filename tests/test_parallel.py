@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.config import SystemConfig
@@ -189,6 +187,5 @@ class TestJournalContents:
                                 **QUICK)
         ctx.run_many([("CoMD", "hmg"), ("mst", "sw")])
         journal.close()
-        with open(tmp_path / "j" / "cells.jsonl") as fh:
-            records = [json.loads(line) for line in fh]
+        records = RunJournal(tmp_path / "j", context_key={}).cells()
         assert [r["fault_plan"] for r in records] == [PLAN.name] * 2

@@ -57,6 +57,13 @@ class TestRoundTrip:
             assert store.stats() == {"hits": 0, "misses": 1, "puts": 0,
                                      "corrupt_records": 0}
 
+    def test_non_hex_key_is_a_miss(self, tmp_path):
+        # Keys arrive from the store CLI and the HTTP service unchecked.
+        with ResultStore(tmp_path / "s") as store:
+            assert store.get("zz-not-a-key") is None
+            assert store.get("") is None
+            assert store.misses == 2
+
     def test_last_writer_wins(self, tmp_path):
         result = _simulate_one()
         import copy

@@ -15,11 +15,12 @@ whole recovery story end to end:
    journal output, and the adversary must actually have attacked
    (the harness picks a chaos seed that guarantees at least one kill,
    one hang and one error on the first attempts).
-3. **Torn writes.**  ``truncate_tail`` chops a store shard and the
-   journal mid-record — the crash-mid-write state.  The store must
-   warn, drop only the torn record and recompute it (table still
-   byte-identical); the journal reader must warn and skip exactly the
-   torn line.
+3. **Torn writes.**  ``truncate_tail`` chops a store shard, the
+   journal and the run registry mid-record — the crash-mid-write
+   state.  The store must warn, drop only the torn record and
+   recompute it (table still byte-identical); the journal reader must
+   warn and skip exactly the torn line; a registration after the tear
+   must still be read back.
 4. **Warm store.**  A fresh context over the repaired store must replay
    the whole sweep with a >= 90% hit rate and **zero** engine
    simulations, still byte-identical.
@@ -50,6 +51,7 @@ from repro.experiments.runner import (  # noqa: E402
 )
 from repro.experiments.store import ResultStore  # noqa: E402
 from repro.faults.chaos import ChaosPlan, ChaosSpec, truncate_tail  # noqa: E402
+from repro.telemetry.session import RunRegistry  # noqa: E402
 
 WORKLOADS = ["CoMD", "mst"]
 PROTOCOLS = ["sw", "nhcc", "hmg"]
@@ -217,6 +219,20 @@ def _gate(cfg, args, work: Path) -> int:
           f"torn journal line: expected {before - 1} records, "
           f"read {after}")
     print(f"chaos: torn journal line skipped ({after}/{before} records)")
+
+    # 3c. Torn registry record: the next registration must survive it.
+    registry = RunRegistry(work / "registry")
+    registry.register_store(store_dir)
+    registry.register_run(work / "journal-serial", status="completed")
+    truncate_tail(registry.path, nbytes=5)
+    fresh = registry.register_run(work / "journal-chaos",
+                                  status="completed")
+    entries = RunRegistry(work / "registry").entries()
+    check(entries[-1:] == [fresh] and len(entries) == 2,
+          f"registration after a torn registry record was lost: "
+          f"read {len(entries)} entries")
+    print(f"chaos: torn registry record skipped, fresh registration "
+          f"kept ({len(entries)}/3 entries)")
 
     # 4. Warm store: everything replays, nothing simulates.
     store = ResultStore(store_dir)

@@ -21,6 +21,7 @@ exercises in isolation also compose:
 
 from __future__ import annotations
 
+import argparse
 import sys
 import tempfile
 import time
@@ -39,6 +40,10 @@ from repro.experiments import cli  # noqa: E402
 
 
 def main() -> int:
+    argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    ).parse_args()
     cfg = SystemConfig.paper_scaled(1 / 64)
     trace = list(WORKLOADS["RNN_FW"].generate(cfg, seed=1, ops_scale=0.1))
     print(f"smoke: {len(trace)} ops on {cfg.num_gpus}x"
