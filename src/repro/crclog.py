@@ -1,8 +1,8 @@
 """Durable append-only logs of CRC-framed JSON records.
 
-The one on-disk contract behind the results store, the run journal,
-the run registry and the metrics log (DESIGN §10, "Durable append
-logs").  Each record is one line::
+The one on-disk contract behind the results store, the run journal
+and the run registry (DESIGN §10, "Durable append logs").  Each
+record is one line::
 
     {"crc": <crc32>, "record": {...}, "v": <version>}
 

@@ -156,16 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "starts (default .repro-registry)")
     parser.add_argument("--no-registry", action="store_true",
                         help="do not register this run")
-    parser.add_argument("--push-metrics", default=None, metavar="URL",
-                        help="push per-cell and fabric metrics to this "
-                             "'observe --serve' collector (strictly "
-                             "out-of-band: a dead or slow collector "
-                             "never stalls the sweep or changes a "
-                             "single output byte)")
-    parser.add_argument("--push-token", default=None, metavar="SECRET",
-                        help="bearer token for --push-metrics "
-                             "(default: $REPRO_OBSERVE_TOKEN); the "
-                             "collector derives the namespace from it")
     parser.add_argument("--journal", default=None, metavar="DIR",
                         help="record completed experiments/cells in DIR "
                              f"(implied '{DEFAULT_JOURNAL}' by --resume)")
@@ -348,18 +338,6 @@ def main(argv=None) -> int:
     if args.listen is not None and registry is not None:
         fleet_dir = args.telemetry or ".repro-fabric"
 
-    metrics = None
-    if args.push_metrics is not None:
-        from repro.telemetry.metrics import MetricsClient
-
-        metrics = MetricsClient(
-            args.push_metrics,
-            token=(args.push_token
-                   or os.environ.get("REPRO_OBSERVE_TOKEN")),
-            run=args.telemetry or f"sweep-{'-'.join(ids)}",
-            seed=args.seed,
-        )
-
     ctx = ExperimentContext(
         SystemConfig.paper_scaled(args.scale),
         seed=args.seed,
@@ -384,7 +362,6 @@ def main(argv=None) -> int:
         fleet_dir=fleet_dir,
         fabric_authkey=fabric_authkey,
         insecure_fabric=args.insecure_fabric,
-        metrics=metrics,
     )
 
     failures = []
@@ -442,19 +419,7 @@ def main(argv=None) -> int:
               + (f", {stats['corrupt_records']} corrupt record(s) "
                  "recomputed" if stats["corrupt_records"] else ""),
               file=sys.stderr)
-        if metrics is not None:
-            from repro.telemetry.metrics import emit_stats_counters
-
-            emit_stats_counters(metrics, stats, prefix="store",
-                                labels={"source": "sweep"})
         ctx.store.close()
-    if metrics is not None and ctx._executor.fabric_stats is not None:
-        from repro.telemetry.metrics import emit_stats_counters
-
-        emit_stats_counters(metrics,
-                            ctx._executor.fabric_stats.as_dict(),
-                            prefix="fabric",
-                            labels={"source": "sweep"})
     if args.telemetry is not None:
         import json
         from pathlib import Path
@@ -495,12 +460,6 @@ def main(argv=None) -> int:
                   f"{record['error']} "
                   f"(after {record['attempts']} attempt(s))",
                   file=sys.stderr)
-    if metrics is not None:
-        # Final bounded flush; anything undeliverable is dropped and
-        # counted.  Stderr only — stdout is diffed by CI and must stay
-        # byte-identical with metrics on or off.
-        metrics.close()
-        print(metrics.summary(), file=sys.stderr)
     if interrupted:
         return 143 if terminated else 130
     if failures:

@@ -211,10 +211,6 @@ class SweepExecutor:
     chaos: object = None
     #: Optional telemetry tracer receiving fabric events.
     tracer: object = None
-    #: Optional :class:`repro.telemetry.metrics.MetricsClient` handed
-    #: to the distributed coordinator (which pushes its lease-health
-    #: counters through it, out-of-band).
-    metrics: object = field(default=None, compare=False)
     #: Cells simulated through this executor (observability/testing).
     cells_run: int = field(default=0, compare=False)
     #: ``(cell, FailedCell)`` pairs from every batch so far.
@@ -252,7 +248,6 @@ class SweepExecutor:
                 tracer=self.tracer,
                 authkey=self.authkey,
                 allow_unauthenticated=self.allow_unauthenticated,
-                metrics=self.metrics,
             )
             import sys
 

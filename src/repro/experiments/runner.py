@@ -75,7 +75,7 @@ class ExperimentContext:
                  lease_size: int = 1, min_workers: int = 1,
                  fleet_registry=None, fleet_dir=None,
                  fabric_authkey=None,
-                 insecure_fabric: bool = False, metrics=None):
+                 insecure_fabric: bool = False):
         self.cfg = cfg if cfg is not None else SystemConfig.paper_scaled()
         self.seed = seed
         self.ops_scale = ops_scale
@@ -104,11 +104,6 @@ class ExperimentContext:
         #: completed cells persist across runs/branches, and a sweep
         #: revisiting a stored cell replays it without an engine.
         self.store = store
-        #: Optional :class:`repro.telemetry.metrics.MetricsClient`.
-        #: Strictly out-of-band: every emit below is non-blocking and
-        #: drop-on-failure, and no manifest/journal/store write depends
-        #: on it — sweep artifacts are byte-identical with it on or off.
-        self.metrics = metrics
         #: Cells that failed permanently (exhausted fabric retries):
         #: manifest dicts, in completion order.  Figures render these
         #: as gaps instead of the sweep aborting.
@@ -128,7 +123,7 @@ class ExperimentContext:
             listen=listen, lease_ttl=lease_ttl, lease_size=lease_size,
             min_workers=min_workers, fleet_registry=fleet_registry,
             fleet_dir=fleet_dir, authkey=fabric_authkey,
-            allow_unauthenticated=insecure_fabric, metrics=metrics,
+            allow_unauthenticated=insecure_fabric,
         )
 
     def close(self) -> None:
@@ -179,12 +174,7 @@ class ExperimentContext:
         """The persisted result for a cell, if a store is attached."""
         if self.store is None:
             return None
-        result = self.store.get(self._store_key(key))
-        if self.metrics is not None:
-            self.metrics.emit(
-                "store.hit" if result is not None else "store.miss",
-                1, kind="counter")
-        return result
+        return self.store.get(self._store_key(key))
 
     def _complete(self, cell: Cell, key: tuple, result,
                   from_store: bool = False) -> None:
@@ -211,17 +201,6 @@ class ExperimentContext:
             if slug not in self._manifest_slugs:
                 self._manifest_slugs.add(slug)
                 self.manifests_written.append(slug)
-        if self.metrics is not None:
-            from repro.telemetry.metrics import (cell_labels,
-                                                 emit_cell_metrics)
-
-            emit_cell_metrics(self.metrics, result, labels=cell_labels(
-                cell.workload, cell.protocol,
-                engine=getattr(result, "engine_used", "")
-                or "throughput",
-                placement=cell.placement,
-                source="store" if from_store else "engine",
-            ))
 
     def _complete_failure(self, cell: Cell, key: tuple,
                           failure) -> None:
@@ -238,10 +217,6 @@ class ExperimentContext:
             "error": failure.error,
         }
         self.failed_cells.append(record)
-        if self.metrics is not None:
-            self.metrics.emit("cell.failed", 1, kind="counter", labels={
-                "workload": cell.workload, "protocol": cell.protocol,
-            })
         if self.journal is not None:
             self.journal.record_cell(cell.workload, cell.protocol,
                                      cell.cfg, fault_plan=cell.fault_plan,

@@ -16,7 +16,10 @@ observability service (:mod:`repro.telemetry.serve`) renders:
   fingerprint, placement, and fault plan),
 * drift of both across runs against the committed ``BENCH_perf.json``
   baseline and its ``--record`` history — the ``check_perf`` gate
-  rendered over time.
+  rendered over time,
+* per-cell metric series (``/metrics/query`` and the Prometheus
+  ``/metrics`` text), one value per cell per metric, read straight off
+  the same manifests and sidecars.
 
 Everything here is pure functions over JSON so the HTTP service and
 the offline ``store``/CLI tools share one code path.
@@ -25,6 +28,7 @@ the offline ``store``/CLI tools share one code path.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from repro.analysis.metrics import geomean
@@ -82,6 +86,7 @@ def load_run(run_dir) -> dict:
             "slug": slug,
             "workload": cell.get("workload"),
             "protocol": cell.get("protocol"),
+            "engine": cell.get("engine"),
             "placement": cell.get("placement"),
             "config_fingerprint": cell.get("config_fingerprint"),
             "fault_plan": plan.get("name"),
@@ -170,10 +175,85 @@ def run_summary(run: dict) -> dict:
                              if c["workload"]}),
         "protocols": sorted({c["protocol"] for c in cells
                              if c["protocol"]}),
+        "engines": sorted({c["engine"] for c in cells if c["engine"]}),
         "engine_ops_per_second": run["engine_ops_per_second"],
         "geomean_speedups": run["geomean_speedups"],
         "fabric": run["fabric"],
     }
+
+
+# ----------------------------------------------------------------------
+# Per-cell metric series
+# ----------------------------------------------------------------------
+
+#: Series name -> the :func:`load_run` cell field it reads.
+CELL_METRICS = {
+    "cell.ops_per_second": "ops_per_second",
+    "cell.wall_seconds": "wall_seconds",
+    "cell.cycles": "cycles",
+    "cell.ops": "ops",
+}
+
+#: Host-throughput series: store replays (``wall_seconds == 0``) spent
+#: no engine time, so they carry no value for these.
+THROUGHPUT_METRICS = ("cell.ops_per_second", "cell.wall_seconds")
+
+_LABELS = ("workload", "protocol", "engine", "placement")
+
+
+def cell_series(runs, *, metric: str = None, run: str = None) -> list:
+    """One series per cell per metric, optionally filtered.
+
+    Each series is ``{run, cell, metric, labels, value}``: ``run`` is
+    the run directory, ``cell`` the manifest slug, and ``labels`` the
+    cell's workload/protocol/engine/placement.  Cells with a missing,
+    torn or non-finite field contribute nothing for that metric.
+    """
+    series = []
+    for loaded in runs:
+        if run is not None and loaded["dir"] != run:
+            continue
+        for cell in loaded["cells"]:
+            replayed = not cell.get("wall_seconds")
+            labels = {k: cell[k] for k in _LABELS if cell.get(k)}
+            for name, field in CELL_METRICS.items():
+                if metric is not None and name != metric:
+                    continue
+                if replayed and name in THROUGHPUT_METRICS:
+                    continue
+                value = cell.get(field)
+                if not isinstance(value, (int, float)) \
+                        or isinstance(value, bool) \
+                        or not math.isfinite(value):
+                    continue
+                series.append({"run": loaded["dir"], "cell": cell["slug"],
+                               "metric": name, "labels": labels,
+                               "value": value})
+    return series
+
+
+def _prom_escape(value) -> str:
+    return str(value).replace("\\", "\\\\").replace('"', '\\"') \
+        .replace("\n", "\\n")
+
+
+def prometheus_text(series) -> str:
+    """Prometheus exposition of :func:`cell_series` output: every
+    metric is a gauge, ``cell.ops_per_second`` becomes
+    ``repro_cell_ops_per_second``."""
+    lines = []
+    current = None
+    for s in sorted(series, key=lambda s: (s["metric"], s["run"],
+                                           s["cell"])):
+        name = "repro_" + s["metric"].replace(".", "_")
+        if name != current:
+            current = name
+            lines.append(f"# TYPE {name} gauge")
+        labels = {"run": s["run"], "cell": s["cell"], **s["labels"]}
+        label_str = ",".join(f'{k}="{_prom_escape(v)}"'
+                             for k, v in labels.items())
+        lines.append(f"{name}{{{label_str}}} {s['value']}")
+    return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------------

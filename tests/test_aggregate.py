@@ -11,7 +11,7 @@ from repro.experiments.runner import ExperimentContext
 from repro.telemetry.aggregate import (engine_ops_per_second,
                                        geomean_speedups, load_bench,
                                        load_run, regression_view,
-                                       result_digest)
+                                       result_digest, run_summary)
 from repro.telemetry.manifest import write_run_manifest
 from repro.telemetry.session import RunRegistry
 
@@ -109,6 +109,16 @@ class TestLoadRun:
         assert run["engine_ops_per_second"] > 0
         assert set(run["geomean_speedups"]) == {"hmg"}
         assert run["geomean_speedups"]["hmg"] > 0
+
+    def test_engine_provenance_per_cell(self, tmp_path):
+        out, _ = _sweep(tmp_path)
+        run = load_run(out)
+        for cell in run["cells"]:
+            manifest = json.loads(
+                (out / f"{cell['slug']}.metrics.json").read_text())
+            assert cell["engine"] == manifest["cell"]["engine"]
+        assert run_summary(run)["engines"] == sorted(
+            {c["engine"] for c in run["cells"]})
 
     def test_missing_dir_and_empty_dir(self, tmp_path):
         assert load_run(tmp_path / "nope") is None

@@ -9,8 +9,8 @@ from repro.crclog import CrcLog, frame
 
 
 def test_frame_matches_registry_and_metrics_lines():
-    # The framing the registry and metrics log have always written, so
-    # their existing files stay readable.
+    # The framing the registry has always written, so its existing
+    # files stay readable.
     record = {"kind": "run", "dir": "/x", "info": {"b": 1.5, "a": "é"}}
     payload = json.dumps(record, sort_keys=True)
     legacy = json.dumps({"v": 1, "crc": zlib.crc32(payload.encode()),

@@ -12,6 +12,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 TOOLS = sorted(p.name for p in (ROOT / "tools").glob("*.py"))
 SUBCOMMANDS = ["store", "verify", "observe", "worker"]
+#: Nested parsers behind a subcommand, rendered the same way.
+NESTED = ["observe --serve", "observe registry", "observe registry prune",
+          "verify check", "verify litmus", "verify fuzz", "verify repro",
+          "verify selftest"]
 
 
 def _help(*argv):
@@ -21,13 +25,16 @@ def _help(*argv):
                           timeout=120)
 
 
-@pytest.mark.parametrize("subcommand", [None, *SUBCOMMANDS])
+@pytest.mark.parametrize("subcommand", [None, *SUBCOMMANDS, *NESTED])
 def test_experiments_cli_help(subcommand):
-    argv = ["-m", "repro.experiments"] + ([subcommand] if subcommand
+    argv = ["-m", "repro.experiments"] + (subcommand.split() if subcommand
                                           else [])
     proc = _help(*argv)
     assert proc.returncode == 0, proc.stderr
-    assert "usage:" in proc.stdout
+    # The usage line names the parser that rendered, so a nested
+    # command cannot pass by falling back to its parent's help.
+    prog = " ".join(["python -m repro.experiments", subcommand or ""])
+    assert proc.stdout.startswith(f"usage: {prog.strip()} "), proc.stdout
 
 
 @pytest.mark.parametrize("tool", TOOLS)

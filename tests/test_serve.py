@@ -1,4 +1,5 @@
-"""Observability service: SSE streams, regression view, store API."""
+"""Observability service: SSE streams, regression view, store API,
+file-derived per-cell metrics."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import json
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -97,16 +99,13 @@ class TestEndpoints:
         assert body["version"] == __version__
         assert body["uptime_seconds"] >= 0
         assert body["registry"].endswith("reg")
-        assert body["auth_required"] is False
-        assert body["ingest_queue_depth"] == 0
-        assert body["ingest"]["batches"] == 0
         with urllib.request.urlopen(url + "/", timeout=10) as resp:
             html = resp.read().decode()
         assert resp.status == 200
         assert "<title>HMG repro" in html
         assert "/events" in html and "/regressions" in html
         assert "/metrics/query" in html, \
-            "dashboard must render the pushed-metrics panel"
+            "dashboard must render the fleet-throughput panel"
 
     def test_unknown_route_404s(self, service):
         _, url = service
@@ -126,6 +125,7 @@ class TestEndpoints:
         assert run["status"] == "completed"
         assert run["cells"] == 2
         assert run["protocols"] == ["hmg", "noremote"]
+        assert run["engines"] == ["throughput"]
         assert run["engine_ops_per_second"] > 0
 
     def test_regressions_flags_synthetic_drop(self, service, tmp_path):
@@ -239,178 +239,117 @@ class TestSSE:
         assert any("CoMD-noremote" in s for s in slugs)
 
 
-def _post_json(url, payload, token=None):
-    body = json.dumps(payload).encode()
-    request = urllib.request.Request(
-        url, data=body, headers={"Content-Type": "application/json"},
-        method="POST")
-    if token:
-        request.add_header("Authorization", f"Bearer {token}")
-    with urllib.request.urlopen(request, timeout=10) as resp:
-        return resp.status, json.loads(resp.read())
+def _cli_sweep(tmp_path, label, store):
+    """A real ``--telemetry`` sweep through the experiments CLI."""
+    from repro.experiments.cli import main as cli_main
+
+    out = tmp_path / label
+    assert cli_main([
+        "fig8", "--scale", str(1 / 64), "--ops-scale", "0.05",
+        "--workloads", "CoMD", "--telemetry", str(out),
+        "--store", str(store), "--registry", str(tmp_path / "reg"),
+    ]) == 0
+    return out.resolve()
 
 
-def _batch(records, run="r1", namespace=None):
-    payload = {"v": 1, "run": run, "source": "test", "records": records}
-    if namespace is not None:
-        payload["namespace"] = namespace
-    return payload
+def _artifacts(out):
+    """slug -> (manifest, perf sidecar) as the sweep wrote them."""
+    return {
+        path.name[:-len(".metrics.json")]: (
+            json.loads(path.read_text()),
+            json.loads(path.with_name(path.name.replace(
+                "metrics.json", "perf.json")).read_text()))
+        for path in out.glob("*.metrics.json")
+    }
 
 
-class TestIngest:
-    def test_ingest_rolls_up_and_queries(self, service):
+class TestDerivedMetrics:
+    def test_query_matches_artifacts(self, service, tmp_path, capsys):
+        """Every series value is the matching perf.json / manifest
+        field; store replays contribute no throughput series."""
         _, url = service
-        status, reply = _post_json(f"{url}/ingest", _batch([
-            {"metric": "cell.ops_per_second", "value": 100.0,
-             "labels": {"workload": "CoMD"}, "t": 1.0},
-            {"metric": "cell.ops_per_second", "value": 300.0,
-             "labels": {"workload": "CoMD"}, "t": 2.0},
-        ]))
-        assert (status, reply["accepted"], reply["rejected"]) \
-            == (200, 2, 0)
-        status, query = _get_json(
-            f"{url}/metrics/query?metric=cell.ops_per_second")
-        assert status == 200 and query["count"] == 1
-        series = query["series"][0]
-        assert series["namespace"] == "default"
-        assert series["count"] == 2
-        assert (series["min"], series["max"], series["last"]) \
-            == (100.0, 300.0, 300.0)
-        assert series["windows"][0]["sum"] == 400.0
+        simulated = _cli_sweep(tmp_path, "cold", tmp_path / "store")
+        replayed = _cli_sweep(tmp_path, "warm", tmp_path / "store")
+        capsys.readouterr()
+        _, query = _get_json(f"{url}/metrics/query")
+        assert query["count"] == len(query["series"])
+        by_run: dict = {}
+        for s in query["series"]:
+            by_run.setdefault(s["run"], []).append(s)
+        assert set(by_run) == {str(simulated), str(replayed)}
 
-    def test_window_records_expand_per_counter(self, service):
-        _, url = service
-        _post_json(f"{url}/ingest", _batch([
-            {"metric": "cell", "kind": "window", "t0": 0.0,
-             "t1": 500.0, "unit": "cycles",
-             "counters": {"ops": 50, "l2_misses": 7},
-             "labels": {"workload": "CoMD", "protocol": "hmg"},
-             "t": 1.0},
-        ]))
-        status, query = _get_json(f"{url}/metrics/query?metric=cell")
-        metrics = {s["metric"] for s in query["series"]}
-        assert {"cell.ops", "cell.l2_misses", "cell.span"} <= metrics
+        for out in (simulated, replayed):
+            artifacts = _artifacts(out)
+            seen = set()
+            for s in by_run[str(out)]:
+                manifest, perf = artifacts[s["cell"]]
+                cell = manifest["cell"]
+                assert s["labels"] == {
+                    k: cell[k] for k in ("workload", "protocol",
+                                         "engine", "placement")}
+                expected = {
+                    "cell.ops_per_second": perf["ops_per_second"],
+                    "cell.wall_seconds": perf["wall_seconds"],
+                    "cell.cycles": manifest["time"]["cycles"],
+                    "cell.ops": manifest["work"]["ops"],
+                }[s["metric"]]
+                assert s["value"] == expected
+                seen.add((s["cell"], s["metric"]))
+            metrics = ["cell.cycles", "cell.ops"]
+            if out == simulated:
+                assert all(p["wall_seconds"] > 0
+                           for _, p in artifacts.values())
+                metrics += ["cell.ops_per_second", "cell.wall_seconds"]
+            else:
+                assert all(p["wall_seconds"] == 0
+                           for _, p in artifacts.values())
+            assert seen == {(slug, m) for slug in artifacts
+                            for m in metrics}
 
-    def test_invalid_records_counted_not_fatal(self, service):
+    def test_run_filter_is_percent_decoded(self, service, tmp_path,
+                                           capsys):
         _, url = service
-        status, reply = _post_json(f"{url}/ingest", _batch([
-            {"metric": "ok", "value": 1.0, "t": 1.0},
-            {"metric": "bad", "value": None},
-            {"value": 2.0},
-        ]))
-        assert status == 200
-        assert reply["accepted"] == 1 and reply["rejected"] == 2
-        assert reply["errors"]
-        _, health = _get_json(f"{url}/healthz")
-        assert health["ingest"]["rejected"] == 2
+        first = _cli_sweep(tmp_path, "serve tel+a", tmp_path / "s1")
+        _cli_sweep(tmp_path, "other", tmp_path / "s2")
+        capsys.readouterr()
+        query = urllib.parse.urlencode(
+            {"metric": "cell.ops_per_second", "run": str(first)})
+        assert "%2F" in query and "+" in query  # both need decoding
+        _, payload = _get_json(f"{url}/metrics/query?{query}")
+        assert payload["count"] == 6
+        assert {s["run"] for s in payload["series"]} == {str(first)}
 
-    def test_structurally_bad_batch_400s(self, service):
+    def test_prometheus_exposition(self, service, tmp_path, capsys):
         _, url = service
-        with pytest.raises(urllib.error.HTTPError) as err:
-            _post_json(f"{url}/ingest", {"records": []})
-        assert err.value.code == 400
-
-    def test_prometheus_exposition(self, service):
-        _, url = service
-        _post_json(f"{url}/ingest", _batch([
-            {"metric": "store.hit", "kind": "counter", "value": 1,
-             "t": 1.0},
-            {"metric": "store.hit", "kind": "counter", "value": 1,
-             "t": 2.0},
-        ]))
+        out = _cli_sweep(tmp_path, "tel", tmp_path / "store")
+        capsys.readouterr()
         with urllib.request.urlopen(f"{url}/metrics",
                                     timeout=10) as resp:
             text = resp.read().decode()
         assert resp.headers["Content-Type"].startswith("text/plain")
-        assert "# TYPE repro_store_hit_total counter" in text
-        assert 'repro_store_hit_total{namespace="default",run="r1"} '\
-               "2.0" in text
-        assert "repro_ingest_batches 1" in text
+        _, query = _get_json(f"{url}/metrics/query")
+        for metric in ("cell_ops_per_second", "cell_wall_seconds",
+                       "cell_cycles", "cell_ops"):
+            assert text.count(f"# TYPE repro_{metric} gauge") == 1
+        samples = [ln for ln in text.splitlines()
+                   if ln and not ln.startswith("#")]
+        assert len(samples) == query["count"] == 24
+        hmg = next(s for s in query["series"]
+                   if s["metric"] == "cell.cycles"
+                   and s["labels"]["protocol"] == "hmg")
+        assert (f'repro_cell_cycles{{run="{out}",cell="{hmg["cell"]}",'
+                f'workload="CoMD",protocol="hmg",'
+                f'engine="{hmg["labels"]["engine"]}",'
+                f'placement="first_touch"}} {hmg["value"]}') in samples
 
-    def test_events_stream_carries_metrics(self, service):
+    def test_service_is_read_only(self, service):
         _, url = service
-        collected: list = []
-
-        def reader():
-            collected.extend(_read_sse(f"{url}/events", 2))
-
-        thread = threading.Thread(target=reader, daemon=True)
-        thread.start()
-        time.sleep(0.3)
-        _post_json(f"{url}/ingest", _batch([
-            {"metric": "cell.ops_per_second", "value": 5.0, "t": 1.0},
-        ]))
-        thread.join(timeout=15)
-        by_kind = dict(collected)
-        assert "metrics" in by_kind
-        assert by_kind["metrics"]["run"] == "r1"
-        assert by_kind["metrics"]["metrics"] \
-            == ["cell.ops_per_second"]
-
-    def test_metrics_log_survives_restart(self, service, tmp_path):
-        server, url = service
-        _post_json(f"{url}/ingest", _batch([
-            {"metric": "cell.ops_per_second", "value": 9.0, "t": 1.0},
-        ]))
-        reborn = _make_server(tmp_path)
-        try:
-            assert reborn.observatory.metrics.stats()["records"] == 1
-        finally:
-            reborn.server_close()
-
-
-class TestAuth:
-    @pytest.fixture
-    def secured(self, tmp_path):
-        server = _make_server(tmp_path,
-                              serve_token=["ci=supersecret", "barekey"])
-        rc: list = []
-        thread = threading.Thread(target=lambda: rc.append(
-            serve.run(server)), daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        yield server, f"http://{host}:{port}"
-        server.shutdown()
-        thread.join(timeout=10)
-
-    def test_unauthenticated_post_rejected_and_counted(self, secured):
-        _, url = secured
-        for token in (None, "wrong"):
-            with pytest.raises(urllib.error.HTTPError) as err:
-                _post_json(f"{url}/ingest", _batch([
-                    {"metric": "x", "value": 1.0, "t": 1.0},
-                ]), token=token)
-            assert err.value.code == 401
-        _, health = _get_json(f"{url}/healthz")
-        assert health["auth_required"] is True
-        assert health["ingest"]["unauthorized"] == 2
-
-    def test_token_namespace_overrides_claim(self, secured):
-        _, url = secured
-        status, _reply = _post_json(
-            f"{url}/ingest",
-            _batch([{"metric": "x", "value": 1.0, "t": 1.0}],
-                   namespace="spoofed"),
-            token="supersecret")
-        assert status == 200
-        _, query = _get_json(f"{url}/metrics/query?metric=x")
-        assert [s["namespace"] for s in query["series"]] == ["ci"]
-
-    def test_bare_token_derives_namespace(self, secured):
-        _, url = secured
-        from repro.telemetry.metrics import derive_namespace
-
-        _post_json(f"{url}/ingest",
-                   _batch([{"metric": "y", "value": 1.0, "t": 1.0}]),
-                   token="barekey")
-        _, query = _get_json(f"{url}/metrics/query?metric=y")
-        assert [s["namespace"] for s in query["series"]] \
-            == [derive_namespace("barekey")]
-
-    def test_reads_stay_open(self, secured):
-        _, url = secured
-        status, _body = _get_json(f"{url}/regressions")
-        assert status == 200
+        request = urllib.request.Request(
+            f"{url}/ingest", data=b"{}", method="POST",
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request, timeout=10)
+        assert err.value.code == 404
 
 
 class TestShutdown:

@@ -1,7 +1,7 @@
 """A crash mid-append must not take the next good record with it.
 
-Every durable log — results store, run journal, run registry, metrics
-log — is torn with ``truncate_tail`` (a crash mid-append), gets one
+Every durable log — results store, run journal, run registry — is
+torn with ``truncate_tail`` (a crash mid-append), gets one
 more record, and is reopened.  The fresh record must survive, and the
 torn line must be the only corrupt one: an append that glues itself
 onto the torn bytes loses both.
@@ -18,9 +18,7 @@ from repro.config import SystemConfig
 from repro.experiments.journal import RunJournal
 from repro.experiments.store import ResultStore
 from repro.faults.chaos import truncate_tail
-from repro.telemetry.metrics import METRICS_SCHEMA
 from repro.telemetry.session import RunRegistry
-from repro.telemetry.tsdb import MetricsStore
 
 CFG = SystemConfig.paper_scaled(1 / 64)
 
@@ -73,27 +71,8 @@ class RegistryLog:
         return [Path(e["dir"]).name for e in RunRegistry(root).entries()]
 
 
-class MetricsLog:
-    @staticmethod
-    def path(root):
-        return root / "metrics.jsonl"
-
-    @staticmethod
-    def write(root, tag):
-        store = MetricsStore(root / "metrics.jsonl")
-        store.ingest({"v": METRICS_SCHEMA, "run": tag, "source": "test",
-                      "records": [{"metric": "m", "value": 1.0, "t": 1.0}]})
-        store.close()
-
-    @staticmethod
-    def read(root):
-        series = MetricsStore(root / "metrics.jsonl").query()["series"]
-        return [s["run"] for s in series]
-
-
-@pytest.mark.parametrize("log", [StoreLog, JournalLog, RegistryLog,
-                                 MetricsLog],
-                         ids=["store", "journal", "registry", "metrics"])
+@pytest.mark.parametrize("log", [StoreLog, JournalLog, RegistryLog],
+                         ids=["store", "journal", "registry"])
 def test_append_after_torn_tail_survives(tmp_path, log):
     root = tmp_path / "log"
     root.mkdir()

@@ -3,7 +3,8 @@
 
 Queries a running ``observe --serve`` instance — ``/regressions`` for
 the cross-run drift view (the ``check_perf`` gate rendered over time)
-and ``/metrics/query`` for the pushed per-cell throughput rollups —
+and ``/metrics/query`` for the per-cell throughput series the service
+derives from every run's manifests and perf sidecars —
 and emits a GitHub-status-style summary: markdown on stdout, outcome
 as the exit code.  This closes the "wire /regressions history into PR
 review" loop: paste the markdown into a PR comment or a
@@ -12,9 +13,9 @@ review" loop: paste the markdown into a PR comment or a
 Exit codes:
 
 * 0 — PASS: no flagged perf regressions, no flagged speedup drift
-  (and, with ``--require-metrics``, non-empty pushed rollups).
-* 1 — FAIL: at least one flagged regression (or missing pushed
-  metrics under ``--require-metrics``).
+  (and, with ``--require-metrics``, at least one per-cell series).
+* 1 — FAIL: at least one flagged regression (or no per-cell series
+  under ``--require-metrics``).
 * 2 — the service is unreachable or answered garbage.
 
 Stdlib only, like everything else in this repo.
@@ -26,6 +27,7 @@ import argparse
 import json
 import sys
 import urllib.error
+import urllib.parse
 import urllib.request
 
 
@@ -42,11 +44,11 @@ def _num(value) -> str:
     return "—" if value is None else f"{value:,.0f}"
 
 
-def render_markdown(reg: dict, rollups: dict, *,
+def render_markdown(reg: dict, query: dict, *,
                     require_metrics: bool) -> tuple:
     """(markdown, ok) for one gate evaluation."""
     flagged = list(reg.get("flagged", []))
-    series = rollups.get("series", [])
+    series = query.get("series", [])
     missing_metrics = require_metrics and not series
     ok = not flagged and not missing_metrics
 
@@ -101,30 +103,30 @@ def render_markdown(reg: dict, rollups: dict, *,
         lines.append("_No speedup data yet._")
     lines.append("")
 
-    lines.append("### Pushed metrics (per-cell engine throughput)")
+    lines.append("### Per-cell metrics")
     lines.append("")
     if series:
-        lines.append(f"{len(series)} rollup series; last values:")
+        lines.append(f"{len(series)} cell series:")
         lines.append("")
-        lines.append("| namespace | run | cell | samples | last "
-                     "ops/sec |")
-        lines.append("|---|---|---|---:|---:|")
+        lines.append("| run | cell | engine | value |")
+        lines.append("|---|---|---|---:|")
         for s in series[:20]:
             labels = s.get("labels", {})
             cell = "/".join(filter(None, (labels.get("workload"),
                                           labels.get("protocol"))))
             lines.append(
-                f"| {s['namespace']} | `{s['run']}` | {cell or '—'} "
-                f"| {s['count']} | {_num(s.get('last'))} |")
+                f"| `{s['run']}` | {cell or '—'} "
+                f"| {labels.get('engine') or '—'} "
+                f"| {_num(s.get('value'))} |")
         if len(series) > 20:
             lines.append("")
             lines.append(f"_...and {len(series) - 20} more._")
     elif missing_metrics:
-        lines.append("_⚠️ --require-metrics set but no pushed rollups "
-                     "found (did the sweep run with --push-metrics?)._")
+        lines.append("_⚠️ --require-metrics set but no per-cell series "
+                     "found (did a sweep run with --telemetry DIR?)._")
     else:
-        lines.append("_No pushed metrics (optional; sweep with "
-                     "--push-metrics URL)._")
+        lines.append("_No per-cell series (sweep with --telemetry DIR "
+                     "to populate)._")
     lines.append("")
 
     if flagged:
@@ -144,31 +146,27 @@ def main(argv=None) -> int:
                         help="service base URL "
                              "(default http://127.0.0.1:8765)")
     parser.add_argument("--metric", default="cell.ops_per_second",
-                        help="rollup metric summarized in the report "
+                        help="per-cell metric summarized in the report "
                              "(default cell.ops_per_second)")
-    parser.add_argument("--namespace", default=None,
-                        help="restrict the rollup summary to one "
-                             "namespace")
     parser.add_argument("--require-metrics", action="store_true",
-                        help="fail the gate when no pushed rollups "
+                        help="fail the gate when no per-cell series "
                              "exist for --metric")
     parser.add_argument("--timeout", type=float, default=10.0)
     args = parser.parse_args(argv)
 
     base = args.url.rstrip("/")
-    query = f"{base}/metrics/query?metric={args.metric}"
-    if args.namespace:
-        query += f"&namespace={args.namespace}"
+    query = (f"{base}/metrics/query?"
+             + urllib.parse.urlencode({"metric": args.metric}))
     try:
         reg = fetch_json(f"{base}/regressions", args.timeout)
-        rollups = fetch_json(query, args.timeout)
+        cells = fetch_json(query, args.timeout)
     except (urllib.error.URLError, OSError, ValueError,
             json.JSONDecodeError) as exc:
         print(f"regression gate: cannot query {base}: {exc}",
               file=sys.stderr)
         return 2
 
-    markdown, ok = render_markdown(reg, rollups,
+    markdown, ok = render_markdown(reg, cells,
                                    require_metrics=args.require_metrics)
     print(markdown)
     return 0 if ok else 1
