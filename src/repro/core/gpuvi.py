@@ -73,9 +73,10 @@ class GPUVIProtocol(NHCCProtocol):
 
     # ------------------------------------------------------------------
 
-    def _store(self, op: MemOp) -> AccessOutcome:
+    def _store(self, line: int, node: NodeId, flat: int, slot: int,
+               size: int) -> AccessOutcome:
         self._pending_ack_latency = 0.0
-        out = super()._store(op)
+        out = super()._store(line, node, flat, slot, size)
         ack = self._take_ack_latency()
         if ack:
             # Multi-copy-atomicity: the write completes only after all

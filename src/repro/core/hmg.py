@@ -109,12 +109,12 @@ class HMGProtocol(CoherenceProtocol):
         """
         return self.homes(line, node)
 
-    def _may_hit(self, cache_node: NodeId, op: MemOp, ghome: NodeId,
+    def _may_hit(self, cache_node: NodeId, scope: Scope, ghome: NodeId,
                  syshome: NodeId) -> bool:
         """Scope-dependent hit permission (Section V-B, "Loads")."""
-        if op.scope == Scope.CTA:
+        if scope == Scope.CTA:
             return True
-        if op.scope == Scope.GPU:
+        if scope == Scope.GPU:
             return cache_node in (ghome, syshome)
         return cache_node == syshome
 
@@ -122,55 +122,52 @@ class HMGProtocol(CoherenceProtocol):
     # Loads
     # ------------------------------------------------------------------
 
-    def _load(self, op: MemOp) -> AccessOutcome:
-        line = op.address >> self._line_bits
-        ghome, syshome = self.homes(line, op.node)
+    def _load(self, line: int, node: NodeId, flat: int, slot: int,
+              scope: Scope) -> AccessOutcome:
+        ghome, syshome = self.homes(line, node)
         lat = self._lat
         latency = self._l1_hit_lat
 
-        if op.scope is Scope.CTA:
-            node = op.node
-            slices = self.l1[node.gpu * self._gpms_per_gpu + node.gpm]
-            hit = slices[op.cta % len(slices)].lookup(line)
+        if scope is Scope.CTA:
+            hit = self._l1_slots[slot].lookup(line)
             if hit is not None:
                 return AccessOutcome(hit.version, latency, hit_level="l1")
 
-        node = op.node
-        nflat = node.gpu * self._gpms_per_gpu + node.gpm
-        local = self.l2[nflat]
-        self.l2_bytes_per_gpm[nflat] += self._line_size
+        local = self.l2[flat]
+        self.l2_bytes_per_gpm[flat] += self._line_size
         latency += self._l2_hit_lat
-        if self._may_hit(op.node, op, ghome, syshome):
+        if self._may_hit(node, scope, ghome, syshome):
             entry = local.lookup(line)
         else:
             entry = None
             local.stats.misses += 1
         if entry is not None:
-            self._l1_fill(op, line, entry.version, remote=op.node != syshome)
-            level = ("sys_home" if op.node == syshome
-                     else "gpu_home" if op.node == ghome else "local_l2")
+            self._l1_fill(slot, node, line, entry.version,
+                          remote=node != syshome)
+            level = ("sys_home" if node == syshome
+                     else "gpu_home" if node == ghome else "local_l2")
             return AccessOutcome(entry.version, latency, hit_level=level)
 
-        if op.node == syshome:
+        if node == syshome:
             # Local miss at the system home itself: straight to DRAM.
             version = self.dram[self.flat(syshome)].read(line)
             latency += lat.dram_access
             victim = local.fill(line, version, remote=False)
-            self._handle_l2_victim(op.node, victim)
-            self._l1_fill(op, line, version, remote=False)
+            self._handle_l2_victim(node, victim)
+            self._l1_fill(slot, node, line, version, remote=False)
             return AccessOutcome(version, latency, hit_level="dram")
 
         # Miss: climb the hierarchy — GPU home first (if we are not it).
         version = None
         level = "dram"
         sector = self.amap.sector_of_line(line)
-        if op.node != ghome:
-            self.send(MsgType.LOAD_REQ, op.node, ghome, line)
-            latency += 2 * self.hop_latency(op.node, ghome)
+        if node != ghome:
+            self.send(MsgType.LOAD_REQ, node, ghome, line)
+            latency += 2 * self.hop_latency(node, ghome)
             self._l2_touch(ghome, self._line_size)
             latency += self._l2_hit_lat
             ghome_l2 = self.l2[self.flat(ghome)]
-            if self._may_hit(ghome, op, ghome, syshome):
+            if self._may_hit(ghome, scope, ghome, syshome):
                 gentry = ghome_l2.lookup(line)
             else:
                 gentry = None
@@ -181,7 +178,7 @@ class HMGProtocol(CoherenceProtocol):
             # The GPU home tracks the requesting GPM either way — on a
             # forwarded miss it will cache the response too.
             dentry = self._dir_allocate(ghome, sector)
-            dentry.add(Sharer.gpm(op.node.gpm))
+            dentry.add(Sharer.gpm(node.gpm))
 
         if version is None and ghome != syshome:
             # Forward to the system home; only the GPU id crosses.
@@ -203,10 +200,10 @@ class HMGProtocol(CoherenceProtocol):
                 )
                 self._handle_l2_victim(syshome, svictim)
             dentry = self._dir_allocate(syshome, sector)
-            dentry.add(Sharer.gpu(op.node.gpu))
+            dentry.add(Sharer.gpu(node.gpu))
             self.send(MsgType.DATA_RESP, syshome, src, line)
             # Response fills the GPU home on its way back (Fig 6b).
-            if op.node != ghome:
+            if node != ghome:
                 gvictim = self.l2[self.flat(ghome)].fill(
                     line, version, remote=True
                 )
@@ -222,12 +219,12 @@ class HMGProtocol(CoherenceProtocol):
             )
             self._handle_l2_victim(syshome, svictim)
 
-        if op.node != ghome:
-            self.send(MsgType.DATA_RESP, ghome, op.node, line)
+        if node != ghome:
+            self.send(MsgType.DATA_RESP, ghome, node, line)
 
         victim = local.fill(line, version, remote=True)
-        self._handle_l2_victim(op.node, victim)
-        self._l1_fill(op, line, version, remote=True)
+        self._handle_l2_victim(node, victim)
+        self._l1_fill(slot, node, line, version, remote=True)
         return AccessOutcome(version, latency, hit_level=level)
 
     # ------------------------------------------------------------------
@@ -259,34 +256,31 @@ class HMGProtocol(CoherenceProtocol):
             self._inv_sharers(ghome, entry, keep=me, cause="store")
         entry.sharers = {me}
 
-    def _store(self, op: MemOp) -> AccessOutcome:
-        line = op.address >> self._line_bits
-        ghome, syshome = self.homes(line, op.node)
+    def _store(self, line: int, node: NodeId, flat: int, slot: int,
+               size: int) -> AccessOutcome:
+        ghome, syshome = self.homes(line, node)
         version = self._new_version()
-        lat = self._lat
-        payload = min(op.size, self._line_size)
+        payload = min(size, self._line_size)
         latency = self._l1_hit_lat
 
-        self._l1_store(op, line, version, remote=op.node != syshome)
-        node = op.node
-        nflat = node.gpu * self._gpms_per_gpu + node.gpm
-        local = self.l2[nflat]
-        self.l2_bytes_per_gpm[nflat] += payload
-        victim = local.write(line, version, remote=op.node != syshome)
-        self._handle_l2_victim(op.node, victim)
+        self._l1_store(slot, line, version, remote=node != syshome)
+        local = self.l2[flat]
+        self.l2_bytes_per_gpm[flat] += payload
+        victim = local.write(line, version, remote=node != syshome)
+        self._handle_l2_victim(node, victim)
         latency += self._l2_hit_lat
         sector = self.amap.sector_of_line(line)
 
         # Layer 1: the GPU home node of the issuing GPU.
-        if op.node != ghome:
-            self.send(MsgType.STORE_REQ, op.node, ghome, line,
+        if node != ghome:
+            self.send(MsgType.STORE_REQ, node, ghome, line,
                       payload=payload)
-            latency += self.hop_latency(op.node, ghome)
+            latency += self.hop_latency(node, ghome)
             gl2 = self.l2[self.flat(ghome)]
             self._l2_touch(ghome, payload)
             gvictim = gl2.write(line, version, remote=ghome != syshome)
             self._handle_l2_victim(ghome, gvictim)
-        self._store_at_gpu_home(op.node, ghome, sector,
+        self._store_at_gpu_home(node, ghome, sector,
                                 is_sys_home=ghome == syshome,
                                 version=version)
 
@@ -297,7 +291,7 @@ class HMGProtocol(CoherenceProtocol):
             latency += self.hop_latency(ghome, syshome)
             self._home_store(syshome, line, version, payload)
             # Only the GPU identifier crosses the inter-GPU network.
-            self._store_at_gpu_home(op.node, syshome, sector,
+            self._store_at_gpu_home(node, syshome, sector,
                                     is_sys_home=True, version=version)
         else:
             # The GPU home is the system home: its copy is the
@@ -308,17 +302,17 @@ class HMGProtocol(CoherenceProtocol):
         return AccessOutcome(0, latency)
 
     def _atomic(self, op: MemOp) -> AccessOutcome:
-        line = op.address >> self._line_bits
+        line, _, _, slot = self.locate(op)
         if op.scope == Scope.CTA:
             version = self._new_version()
-            self._l1_store(op, line, version, remote=False)
+            self._l1_store(slot, line, version, remote=False)
             return AccessOutcome(version, self._l1_hit_lat,
                                  exposed=True, hit_level="l1")
         ghome, syshome = self.homes(line, op.node)
         # The atomic executes at the home node for its scope and is then
         # written through to subsequent levels like a store.
         target = ghome if op.scope == Scope.GPU else syshome
-        out = self._store(op)
+        out = self._store_op(op)
         if op.node != target:
             self.send(MsgType.ATOMIC_RESP, target, op.node, line)
         latency = self._l2_hit_lat + self.rtt(op.node, target)
@@ -330,7 +324,7 @@ class HMGProtocol(CoherenceProtocol):
 
     def _acquire(self, op: MemOp) -> AccessOutcome:
         if op.scope == Scope.CTA:
-            out = self._load(op)
+            out = self._load_op(op)
             out.exposed = True
             return out
         slices = self.l1[self.flat(op.node)]
@@ -338,7 +332,7 @@ class HMGProtocol(CoherenceProtocol):
         self.stats.lines_inv_by_acquire += self._invalidate_l1s(
             op.node, slice_index
         )
-        out = self._load(op)
+        out = self._load_op(op)
         out.latency += self.cfg.timing.bulk_invalidate_cycles
         out.exposed = True
         return out
@@ -376,7 +370,7 @@ class HMGProtocol(CoherenceProtocol):
         return float(farthest)
 
     def _release(self, op: MemOp) -> AccessOutcome:
-        out = self._store(op)
+        out = self._store_op(op)
         if op.scope == Scope.CTA:
             out.exposed = True
             return out

@@ -45,13 +45,13 @@ class IdealProtocol(CoherenceProtocol):
         else:
             copies.add(cache)
 
-    def _l1_fill(self, op, line, version, remote):
-        sl = self.l1_slice(op)
+    def _l1_fill(self, slot, node, line, version, remote):
+        sl = self._l1_slots[slot]
         sl.fill(line, version, remote=remote)
         self._track(sl, line)
 
-    def _l1_store(self, op, line, version, remote):
-        sl = self.l1_slice(op)
+    def _l1_store(self, slot, line, version, remote):
+        sl = self._l1_slots[slot]
         sl.write(line, version, dirty=False, remote=remote)
         self._track(sl, line)
 
@@ -69,42 +69,40 @@ class IdealProtocol(CoherenceProtocol):
             for cache in copies:
                 cache.invalidate(line)
 
-    def _load(self, op: MemOp) -> AccessOutcome:
-        line = op.address >> self._line_bits
-        ghome, syshome = self.homes(line, op.node)
+    def _load(self, line: int, node: NodeId, flat: int, slot: int,
+              scope: Scope) -> AccessOutcome:
+        ghome, syshome = self.homes(line, node)
         lat = self._lat
         latency = self._l1_hit_lat
 
         # Scope never forces a miss in the idealized model.
-        node = op.node
-        slices = self.l1[node.gpu * self._gpms_per_gpu + node.gpm]
-        hit = slices[op.cta % len(slices)].lookup(line)
+        hit = self._l1_slots[slot].lookup(line)
         if hit is not None:
             return AccessOutcome(hit.version, latency, hit_level="l1")
 
-        nflat = node.gpu * self._gpms_per_gpu + node.gpm
-        local = self.l2[nflat]
-        self.l2_bytes_per_gpm[nflat] += self._line_size
+        local = self.l2[flat]
+        self.l2_bytes_per_gpm[flat] += self._line_size
         latency += self._l2_hit_lat
         entry = local.lookup(line)
         if entry is not None:
-            self._l1_fill(op, line, entry.version, remote=op.node != syshome)
+            self._l1_fill(slot, node, line, entry.version,
+                          remote=node != syshome)
             return AccessOutcome(entry.version, latency, hit_level="local_l2")
 
-        if op.node == syshome:
+        if node == syshome:
             version = self.dram[self.flat(syshome)].read(line)
             latency += lat.dram_access
             victim = local.fill(line, version, remote=False)
             self._track(local, line)
-            self._handle_l2_victim(op.node, victim)
-            self._l1_fill(op, line, version, remote=False)
+            self._handle_l2_victim(node, victim)
+            self._l1_fill(slot, node, line, version, remote=False)
             return AccessOutcome(version, latency, hit_level="dram")
 
         version = None
         level = "dram"
-        if op.node != ghome:
-            self.send(MsgType.LOAD_REQ, op.node, ghome, line)
-            latency += 2 * self.hop_latency(op.node, ghome)
+        if node != ghome:
+            self.send(MsgType.LOAD_REQ, node, ghome, line)
+            latency += 2 * self.hop_latency(node, ghome)
             self._l2_touch(ghome, self._line_size)
             latency += self._l2_hit_lat
             gentry = self.l2[self.flat(ghome)].lookup(line)
@@ -130,7 +128,7 @@ class IdealProtocol(CoherenceProtocol):
                 self._track(sl2, line)
                 self._handle_l2_victim(syshome, svictim)
             self.send(MsgType.DATA_RESP, syshome, ghome, line)
-            if op.node != ghome:
+            if node != ghome:
                 gl2 = self.l2[self.flat(ghome)]
                 gvictim = gl2.fill(line, version, remote=True)
                 self._track(gl2, line)
@@ -144,36 +142,33 @@ class IdealProtocol(CoherenceProtocol):
             self._track(sl2, line)
             self._handle_l2_victim(syshome, svictim)
 
-        if op.node != ghome:
-            self.send(MsgType.DATA_RESP, ghome, op.node, line)
+        if node != ghome:
+            self.send(MsgType.DATA_RESP, ghome, node, line)
         victim = local.fill(line, version, remote=True)
         self._track(local, line)
-        self._handle_l2_victim(op.node, victim)
-        self._l1_fill(op, line, version, remote=True)
+        self._handle_l2_victim(node, victim)
+        self._l1_fill(slot, node, line, version, remote=True)
         return AccessOutcome(version, latency, hit_level=level)
 
-    def _store(self, op: MemOp) -> AccessOutcome:
-        line = op.address >> self._line_bits
-        ghome, syshome = self.homes(line, op.node)
+    def _store(self, line: int, node: NodeId, flat: int, slot: int,
+               size: int) -> AccessOutcome:
+        ghome, syshome = self.homes(line, node)
         version = self._new_version()
-        payload = min(op.size, self._line_size)
-        lat = self._lat
+        payload = min(size, self._line_size)
         latency = self._l1_hit_lat + self._l2_hit_lat
 
         # Free, instant coherence: every stale copy vanishes first.
         self._magic_invalidate(line)
-        self._l1_store(op, line, version, remote=op.node != syshome)
-        node = op.node
-        nflat = node.gpu * self._gpms_per_gpu + node.gpm
-        local = self.l2[nflat]
-        self.l2_bytes_per_gpm[nflat] += payload
-        victim = local.write(line, version, dirty=op.node == syshome,
-                             remote=op.node != syshome)
+        self._l1_store(slot, line, version, remote=node != syshome)
+        local = self.l2[flat]
+        self.l2_bytes_per_gpm[flat] += payload
+        victim = local.write(line, version, dirty=node == syshome,
+                             remote=node != syshome)
         self._track(local, line)
-        self._handle_l2_victim(op.node, victim)
+        self._handle_l2_victim(node, victim)
 
-        if op.node != ghome:
-            self.send(MsgType.STORE_REQ, op.node, ghome, line, payload=payload)
+        if node != ghome:
+            self.send(MsgType.STORE_REQ, node, ghome, line, payload=payload)
             gl2 = self.l2[self.flat(ghome)]
             gvictim = gl2.write(
                 line, version, dirty=ghome == syshome,
@@ -190,16 +185,16 @@ class IdealProtocol(CoherenceProtocol):
     def _atomic(self, op: MemOp) -> AccessOutcome:
         # Atomics execute at the nearest cached copy — free coherence
         # means no round trip is ever exposed.
-        out = self._store(op)
+        out = self._store_op(op)
         return AccessOutcome(self._next_version - 1, out.latency,
                              exposed=False)
 
     def _acquire(self, op: MemOp) -> AccessOutcome:
         # No invalidation, no forced misses: an acquire is a plain load.
-        return self._load(op.with_scope(Scope.CTA))
+        return self._load_op(op, Scope.CTA)
 
     def _release(self, op: MemOp) -> AccessOutcome:
-        return self._store(op)
+        return self._store_op(op)
 
     def _kernel_boundary(self, op: MemOp) -> AccessOutcome:
         # Kernel-launch serialization is not a coherence cost: the ideal

@@ -105,47 +105,44 @@ class NHCCProtocol(CoherenceProtocol):
     # Loads
     # ------------------------------------------------------------------
 
-    def _load(self, op: MemOp) -> AccessOutcome:
-        line = op.address >> self._line_bits
-        home = self.sys_home(line, op.node)
+    def _load(self, line: int, node: NodeId, flat: int, slot: int,
+              scope: Scope) -> AccessOutcome:
+        home = self.sys_home(line, node)
         lat = self._lat
         latency = self._l1_hit_lat
 
-        if op.scope is Scope.CTA:
-            node = op.node
-            slices = self.l1[node.gpu * self._gpms_per_gpu + node.gpm]
-            hit = slices[op.cta % len(slices)].lookup(line)
+        if scope is Scope.CTA:
+            hit = self._l1_slots[slot].lookup(line)
             if hit is not None:
                 return AccessOutcome(hit.version, latency, hit_level="l1")
 
-        node = op.node
-        nflat = node.gpu * self._gpms_per_gpu + node.gpm
-        local = self.l2[nflat]
-        self.l2_bytes_per_gpm[nflat] += self._line_size
+        local = self.l2[flat]
+        self.l2_bytes_per_gpm[flat] += self._line_size
         latency += self._l2_hit_lat
         # Scoped (> .cta) loads must miss everywhere but the home node,
         # which is the flat protocol's only coherence point.
-        may_hit_local = op.scope == Scope.CTA or op.node == home
+        may_hit_local = scope == Scope.CTA or node == home
         entry = local.lookup(line) if may_hit_local else None
         if not may_hit_local:
             local.stats.misses += 1
         if entry is not None:
-            self._l1_fill(op, line, entry.version, remote=home != op.node)
+            self._l1_fill(slot, node, line, entry.version,
+                          remote=home != node)
             return AccessOutcome(entry.version, latency, hit_level="local_l2")
 
-        if op.node == home:
+        if node == home:
             version = self.dram[self.flat(home)].read(line)
             latency += lat.dram_access
             victim = local.fill(line, version, remote=False)
-            self._handle_l2_victim(op.node, victim)
-            self._l1_fill(op, line, version, remote=False)
+            self._handle_l2_victim(node, victim)
+            self._l1_fill(slot, node, line, version, remote=False)
             return AccessOutcome(version, latency, hit_level="dram")
 
         # Remote request to the home node.
-        if home.gpu != op.node.gpu:
+        if home.gpu != node.gpu:
             self.stats.remote_gpu_loads += 1
-        self.send(MsgType.LOAD_REQ, op.node, home, line)
-        latency += 2 * self.hop_latency(op.node, home)
+        self.send(MsgType.LOAD_REQ, node, home, line)
+        latency += 2 * self.hop_latency(node, home)
         home_l2 = self.l2[self.flat(home)]
         self._l2_touch(home, self._line_size)
         latency += self._l2_hit_lat
@@ -162,39 +159,36 @@ class NHCCProtocol(CoherenceProtocol):
 
         # Table I: remote load — add sender to sharers, -> V.
         entry = self._dir_allocate(home, self.amap.sector_of_line(line))
-        entry.add(self._sharer_of(op.node))
+        entry.add(self._sharer_of(node))
 
-        self.send(MsgType.DATA_RESP, home, op.node, line)
+        self.send(MsgType.DATA_RESP, home, node, line)
         victim = local.fill(line, version, remote=True)
-        self._handle_l2_victim(op.node, victim)
-        self._l2_touch(op.node, self._line_size)
-        self._l1_fill(op, line, version, remote=True)
+        self._handle_l2_victim(node, victim)
+        self._l2_touch(node, self._line_size)
+        self._l1_fill(slot, node, line, version, remote=True)
         return AccessOutcome(version, latency, hit_level=level)
 
     # ------------------------------------------------------------------
     # Stores and atomics
     # ------------------------------------------------------------------
 
-    def _store(self, op: MemOp) -> AccessOutcome:
-        line = op.address >> self._line_bits
-        home = self.sys_home(line, op.node)
+    def _store(self, line: int, node: NodeId, flat: int, slot: int,
+               size: int) -> AccessOutcome:
+        home = self.sys_home(line, node)
         version = self._new_version()
-        lat = self._lat
         latency = self._l1_hit_lat
 
-        self._l1_store(op, line, version, remote=home != op.node)
-        node = op.node
-        nflat = node.gpu * self._gpms_per_gpu + node.gpm
-        local = self.l2[nflat]
-        self.l2_bytes_per_gpm[nflat] += min(op.size, self._line_size)
-        victim = local.write(line, version, dirty=op.node == home,
-                             remote=home != op.node)
-        self._handle_l2_victim(op.node, victim)
+        self._l1_store(slot, line, version, remote=home != node)
+        local = self.l2[flat]
+        self.l2_bytes_per_gpm[flat] += min(size, self._line_size)
+        victim = local.write(line, version, dirty=node == home,
+                             remote=home != node)
+        self._handle_l2_victim(node, victim)
         latency += self._l2_hit_lat
 
         sector = self.amap.sector_of_line(line)
         directory = self.dirs[self.flat(home)]
-        if op.node == home:
+        if node == home:
             # Table I, local store in V: inv all sharers, -> I.
             entry = directory.lookup(sector, touch=False)
             if entry is not None:
@@ -204,13 +198,13 @@ class NHCCProtocol(CoherenceProtocol):
                 directory.invalidate(sector)
         else:
             # Write-through travels to the home node.
-            payload = min(op.size, self._line_size)
-            self.send(MsgType.STORE_REQ, op.node, home, line, payload=payload)
-            latency += self.hop_latency(op.node, home)
+            payload = min(size, self._line_size)
+            self.send(MsgType.STORE_REQ, node, home, line, payload=payload)
+            latency += self.hop_latency(node, home)
             self._home_store(home, line, version, payload)
             # Table I, remote store: add sender, inv other sharers.
             entry = self._dir_allocate(home, sector)
-            me = self._sharer_of(op.node)
+            me = self._sharer_of(node)
             if entry.others(me):
                 self.stats.stores_on_shared += 1
                 self._inv_sharers(home, entry, keep=me, cause="store")
@@ -218,11 +212,11 @@ class NHCCProtocol(CoherenceProtocol):
         return AccessOutcome(0, latency)
 
     def _atomic(self, op: MemOp) -> AccessOutcome:
-        line = op.address >> self._line_bits
+        line, _, _, slot = self.locate(op)
         if op.scope == Scope.CTA:
             # .cta-scope synchronization is performed in the L1.
             version = self._new_version()
-            self._l1_store(op, line, version, remote=False)
+            self._l1_store(slot, line, version, remote=False)
             return AccessOutcome(version, self._l1_hit_lat,
                                  exposed=True, hit_level="l1")
         # .gpu and .sys atomics both execute at the flat home node.
@@ -265,7 +259,7 @@ class NHCCProtocol(CoherenceProtocol):
     def _acquire(self, op: MemOp) -> AccessOutcome:
         if op.scope == Scope.CTA:
             # Satisfied within the SM's L1 — no action needed.
-            out = self._load(op)
+            out = self._load_op(op)
             out.exposed = True
             return out
         # Acquires > .cta invalidate the local L1 and nothing more:
@@ -275,7 +269,7 @@ class NHCCProtocol(CoherenceProtocol):
         self.stats.lines_inv_by_acquire += self._invalidate_l1s(
             op.node, slice_index
         )
-        out = self._load(op)
+        out = self._load_op(op)
         out.latency += self.cfg.timing.bulk_invalidate_cycles
         out.exposed = True
         return out
@@ -293,7 +287,7 @@ class NHCCProtocol(CoherenceProtocol):
         return float(farthest)
 
     def _release(self, op: MemOp) -> AccessOutcome:
-        out = self._store(op)
+        out = self._store_op(op)
         if op.scope == Scope.CTA:
             out.exposed = True
             return out

@@ -28,47 +28,44 @@ class NoRemoteCachingProtocol(CoherenceProtocol):
 
     # ------------------------------------------------------------------
 
-    def _load(self, op: MemOp) -> AccessOutcome:
-        line = op.address >> self._line_bits
-        home = self.sys_home(line, op.node)
-        cacheable = self._cacheable(home, op.node)
+    def _load(self, line: int, node: NodeId, flat: int, slot: int,
+              scope: Scope) -> AccessOutcome:
+        home = self.sys_home(line, node)
+        cacheable = self._cacheable(home, node)
         lat = self._lat
         latency = self._l1_hit_lat
 
-        if cacheable and op.scope is Scope.CTA:
-            node = op.node
-            slices = self.l1[node.gpu * self._gpms_per_gpu + node.gpm]
-            hit = slices[op.cta % len(slices)].lookup(line)
+        if cacheable and scope is Scope.CTA:
+            hit = self._l1_slots[slot].lookup(line)
             if hit is not None:
                 return AccessOutcome(hit.version, latency, hit_level="l1")
 
-        node = op.node
-        nflat = node.gpu * self._gpms_per_gpu + node.gpm
-        local = self.l2[nflat]
+        local = self.l2[flat]
         may_hit_local = cacheable and (
-            op.scope == Scope.CTA or node == home
+            scope == Scope.CTA or node == home
         )
         if may_hit_local:
-            self.l2_bytes_per_gpm[nflat] += self._line_size
+            self.l2_bytes_per_gpm[flat] += self._line_size
             latency += self._l2_hit_lat
             entry = local.lookup(line)
             if entry is not None:
-                self._l1_fill(op, line, entry.version, remote=home != op.node)
+                self._l1_fill(slot, node, line, entry.version,
+                              remote=home != node)
                 return AccessOutcome(entry.version, latency,
                                      hit_level="local_l2")
 
-        if op.node == home:
+        if node == home:
             version = self.dram[self.flat(home)].read(line)
             latency += lat.dram_access
             victim = local.fill(line, version, remote=False)
-            self._handle_l2_victim(op.node, victim)
-            self._l1_fill(op, line, version, remote=False)
+            self._handle_l2_victim(node, victim)
+            self._l1_fill(slot, node, line, version, remote=False)
             return AccessOutcome(version, latency, hit_level="dram")
 
-        if home.gpu != op.node.gpu:
+        if home.gpu != node.gpu:
             self.stats.remote_gpu_loads += 1
-        self.send(MsgType.LOAD_REQ, op.node, home, line)
-        latency += 2 * self.hop_latency(op.node, home)
+        self.send(MsgType.LOAD_REQ, node, home, line)
+        latency += 2 * self.hop_latency(node, home)
         home_l2 = self.l2[self.flat(home)]
         self._l2_touch(home, self._line_size)
         latency += self._l2_hit_lat
@@ -82,44 +79,42 @@ class NoRemoteCachingProtocol(CoherenceProtocol):
         else:
             version = hentry.version
             level = "home_l2"
-        self.send(MsgType.DATA_RESP, home, op.node, line)
+        self.send(MsgType.DATA_RESP, home, node, line)
         if cacheable:
             victim = local.fill(line, version, remote=True)
-            self._handle_l2_victim(op.node, victim)
-            self._l2_touch(op.node, self._line_size)
-            self._l1_fill(op, line, version, remote=True)
+            self._handle_l2_victim(node, victim)
+            self._l2_touch(node, self._line_size)
+            self._l1_fill(slot, node, line, version, remote=True)
         return AccessOutcome(version, latency, hit_level=level)
 
-    def _store(self, op: MemOp) -> AccessOutcome:
-        line = op.address >> self._line_bits
-        home = self.sys_home(line, op.node)
-        cacheable = self._cacheable(home, op.node)
+    def _store(self, line: int, node: NodeId, flat: int, slot: int,
+               size: int) -> AccessOutcome:
+        home = self.sys_home(line, node)
+        cacheable = self._cacheable(home, node)
         version = self._new_version()
-        payload = min(op.size, self._line_size)
-        lat = self._lat
+        payload = min(size, self._line_size)
         latency = self._l1_hit_lat
 
         if cacheable:
-            self._l1_store(op, line, version, remote=home != op.node)
-            nflat = op.node.gpu * self._gpms_per_gpu + op.node.gpm
-            local = self.l2[nflat]
-            self.l2_bytes_per_gpm[nflat] += payload
-            victim = local.write(line, version, dirty=op.node == home,
-                                 remote=home != op.node)
-            self._handle_l2_victim(op.node, victim)
+            self._l1_store(slot, line, version, remote=home != node)
+            local = self.l2[flat]
+            self.l2_bytes_per_gpm[flat] += payload
+            victim = local.write(line, version, dirty=node == home,
+                                 remote=home != node)
+            self._handle_l2_victim(node, victim)
             latency += self._l2_hit_lat
 
-        if op.node != home:
-            self.send(MsgType.STORE_REQ, op.node, home, line, payload=payload)
-            latency += self.hop_latency(op.node, home)
+        if node != home:
+            self.send(MsgType.STORE_REQ, node, home, line, payload=payload)
+            latency += self.hop_latency(node, home)
             self._home_store(home, line, version, payload)
         return AccessOutcome(0, latency)
 
     def _atomic(self, op: MemOp) -> AccessOutcome:
-        line = op.address >> self._line_bits
+        line, _, _, slot = self.locate(op)
         if op.scope == Scope.CTA:
             version = self._new_version()
-            self._l1_store(op, line, version, remote=False)
+            self._l1_store(slot, line, version, remote=False)
             return AccessOutcome(version, self._l1_hit_lat,
                                  exposed=True, hit_level="l1")
         home = self.sys_home(line, op.node)
@@ -134,7 +129,7 @@ class NoRemoteCachingProtocol(CoherenceProtocol):
 
     def _acquire(self, op: MemOp) -> AccessOutcome:
         if op.scope == Scope.CTA:
-            out = self._load(op)
+            out = self._load_op(op)
             out.exposed = True
             return out
         slices = self.l1[self.flat(op.node)]
@@ -147,13 +142,13 @@ class NoRemoteCachingProtocol(CoherenceProtocol):
         )
         self.stats.lines_inv_by_acquire += len(dropped)
         self.bulk_invs_per_gpm[self.flat(op.node)] += 1
-        out = self._load(op)
+        out = self._load_op(op)
         out.latency += self.cfg.timing.bulk_invalidate_cycles
         out.exposed = True
         return out
 
     def _release(self, op: MemOp) -> AccessOutcome:
-        out = self._store(op)
+        out = self._store_op(op)
         if op.scope == Scope.CTA:
             out.exposed = True
             return out

@@ -151,6 +151,17 @@ class ProtocolStats:
         return self.lines_inv_by_dir_evict / self.dir_evictions
 
 
+#: The :class:`ProtocolStats` field each op kind increments.
+KIND_COUNTERS = {
+    OpType.LOAD: "loads",
+    OpType.STORE: "stores",
+    OpType.ATOMIC: "atomics",
+    OpType.ACQUIRE: "acquires",
+    OpType.RELEASE: "releases",
+    OpType.KERNEL_BOUNDARY: "kernel_boundaries",
+}
+
+
 class CoherenceProtocol(abc.ABC):
     """Functional model of one coherence scheme over the whole machine.
 
@@ -223,6 +234,12 @@ class CoherenceProtocol(abc.ABC):
                 for s in range(cfg.l1_slices_per_gpm)
             ]
             for i in range(n)
+        ]
+        #: Every L1 slice in flat slot order: slot ``flat * slices +
+        #: cta % slices`` is ``l1[flat][cta % slices]``.
+        self._l1_per_gpm = cfg.l1_slices_per_gpm
+        self._l1_slots: list[SetAssociativeCache] = [
+            sl for slices in self.l1 for sl in slices
         ]
         self.dram: list[DramPartition] = [
             DramPartition(cfg.line_size, name=f"dram[{i}]") for i in range(n)
@@ -316,11 +333,15 @@ class CoherenceProtocol(abc.ABC):
             self._homes_memo[key] = pair
             return pair
 
-    def l1_slice(self, op: MemOp) -> SetAssociativeCache:
-        """The L1 slice an op's CTA maps to."""
+    def locate(self, op: MemOp) -> tuple:
+        """Decode ``op`` into the handler arguments ``(line, node, flat,
+        slot)``: its cache line, issuing GPM, flat GPM index and flat
+        L1 slot (see :attr:`_l1_slots`)."""
         node = op.node
-        slices = self.l1[node.gpu * self._gpms_per_gpu + node.gpm]
-        return slices[op.cta % len(slices)]
+        flat = node.gpu * self._gpms_per_gpu + node.gpm
+        per_gpm = self._l1_per_gpm
+        return (op.address >> self._line_bits, node, flat,
+                flat * per_gpm + op.cta % per_gpm)
 
     # ------------------------------------------------------------------
     # Latency helpers
@@ -414,24 +435,33 @@ class CoherenceProtocol(abc.ABC):
     # ------------------------------------------------------------------
 
     def process(self, op: MemOp) -> AccessOutcome:
-        """Run one trace operation through the protocol."""
+        """Run one trace operation through the protocol.
+
+        Counts the op, then hands it to the per-kind handler: loads and
+        stores go to :meth:`_load` / :meth:`_store` with the op decoded
+        into ``(line, node, flat, slot, scope | size)`` — the arguments
+        the throughput engine's columnar loop passes straight from the
+        trace columns — and atomics and synchronizing ops to their
+        ``MemOp`` handlers, which decode through :meth:`locate` when
+        they reach a load or store.
+        """
         kind = op.op
-        node = op.node
         stats = self.stats
         counts = stats.op_counts
         try:
             counts[kind] += 1
         except KeyError:
             counts[kind] = 1
-        self.ops_per_gpm[node.gpu * self._gpms_per_gpu + node.gpm] += 1
+        line, node, flat, slot = self.locate(op)
+        self.ops_per_gpm[flat] += 1
         # Identity comparison is safe (enum members are singletons) and
         # the branches are ordered by trace frequency.
         if kind is OpType.LOAD:
             stats.loads += 1
-            return self._load(op)
+            return self._load(line, node, flat, slot, op.scope)
         if kind is OpType.STORE:
             stats.stores += 1
-            return self._store(op)
+            return self._store(line, node, flat, slot, op.size)
         if kind is OpType.ATOMIC:
             stats.atomics += 1
             return self._atomic(op)
@@ -446,11 +476,52 @@ class CoherenceProtocol(abc.ABC):
             return self._kernel_boundary(op)
         raise ValueError(f"unknown op type {op.op}")
 
-    @abc.abstractmethod
-    def _load(self, op: MemOp) -> AccessOutcome: ...
+    def count_ops(self, kind_order, kind_counts, ops_per_gpm) -> None:
+        """Apply, for a whole trace at once, the counters :meth:`process`
+        bumps per op: ``op_counts`` (keys added in ``kind_order``, the
+        kinds' first-appearance order), the per-kind ``ProtocolStats``
+        fields (``kind_counts`` is indexed by ``OpType`` value) and
+        ``ops_per_gpm``."""
+        stats = self.stats
+        counts = stats.op_counts
+        for kind in kind_order:
+            n = kind_counts[kind]
+            counts[kind] = counts.get(kind, 0) + n
+            name = KIND_COUNTERS[kind]
+            setattr(stats, name, getattr(stats, name) + n)
+        for flat, n in enumerate(ops_per_gpm):
+            self.ops_per_gpm[flat] += n
+
+    def sync_handlers(self) -> tuple:
+        """The ``MemOp`` handler of every non-load/store kind, indexed
+        by ``OpType`` value (uncounted: see :meth:`count_ops`)."""
+        handlers = [None] * len(OpType)
+        handlers[OpType.ATOMIC] = self._atomic
+        handlers[OpType.ACQUIRE] = self._acquire
+        handlers[OpType.RELEASE] = self._release
+        handlers[OpType.KERNEL_BOUNDARY] = self._kernel_boundary
+        return tuple(handlers)
 
     @abc.abstractmethod
-    def _store(self, op: MemOp) -> AccessOutcome: ...
+    def _load(self, line: int, node: NodeId, flat: int, slot: int,
+              scope: Scope) -> AccessOutcome:
+        """A load of ``line`` by ``node`` (flat index ``flat``) through
+        L1 slot ``slot`` at ``scope``."""
+
+    @abc.abstractmethod
+    def _store(self, line: int, node: NodeId, flat: int, slot: int,
+               size: int) -> AccessOutcome:
+        """A ``size``-byte store to ``line`` by ``node`` through L1 slot
+        ``slot``."""
+
+    def _load_op(self, op: MemOp, scope: Scope = None) -> AccessOutcome:
+        """:meth:`_load` for a ``MemOp`` (at ``scope`` if given)."""
+        return self._load(*self.locate(op),
+                          op.scope if scope is None else scope)
+
+    def _store_op(self, op: MemOp) -> AccessOutcome:
+        """:meth:`_store` for a ``MemOp``."""
+        return self._store(*self.locate(op), op.size)
 
     @abc.abstractmethod
     def _atomic(self, op: MemOp) -> AccessOutcome: ...
@@ -474,30 +545,16 @@ class CoherenceProtocol(abc.ABC):
     # Shared flow fragments
     # ------------------------------------------------------------------
 
-    def _l1_load(self, op: MemOp, line: int):
-        """Probe the issuing L1 slice; scoped (> .cta) loads must miss."""
-        if op.scope > Scope.CTA:
-            return None
-        node = op.node
-        slices = self.l1[node.gpu * self._gpms_per_gpu + node.gpm]
-        return slices[op.cta % len(slices)].lookup(line)
-
-    def _l1_fill(self, op: MemOp, line: int, version: int,
+    def _l1_fill(self, slot: int, node: NodeId, line: int, version: int,
                  remote: bool) -> None:
-        node = op.node
-        slices = self.l1[node.gpu * self._gpms_per_gpu + node.gpm]
-        slices[op.cta % len(slices)].fill(line, version, remote=remote)
+        self._l1_slots[slot].fill(line, version, remote=remote)
         if self._tracing:
             self.tracer.fill("l1", node, line)
 
-    def _l1_store(self, op: MemOp, line: int, version: int,
+    def _l1_store(self, slot: int, line: int, version: int,
                   remote: bool) -> None:
         """Write-through store: the L1 keeps the written data."""
-        node = op.node
-        slices = self.l1[node.gpu * self._gpms_per_gpu + node.gpm]
-        slices[op.cta % len(slices)].write(
-            line, version, dirty=False, remote=remote
-        )
+        self._l1_slots[slot].write(line, version, dirty=False, remote=remote)
 
     def _invalidate_l1s(self, node: NodeId, slice_index: int = None) -> int:
         """Flash-invalidate L1 slice(s) of a GPM (acquire semantics)."""

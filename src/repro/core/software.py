@@ -65,7 +65,7 @@ class _SoftwareProtocolBase(CoherenceProtocol):
         raise NotImplementedError
 
     def _release(self, op: MemOp) -> AccessOutcome:
-        out = self._store(op)
+        out = self._store_op(op)
         if op.scope == Scope.CTA:
             out.exposed = True
             return out
@@ -94,45 +94,42 @@ class NonHierarchicalSWProtocol(_SoftwareProtocolBase):
 
     # -- loads ---------------------------------------------------------
 
-    def _load(self, op: MemOp) -> AccessOutcome:
-        line = op.address >> self._line_bits
-        home = self._home(line, op.node)
+    def _load(self, line: int, node: NodeId, flat: int, slot: int,
+              scope: Scope) -> AccessOutcome:
+        home = self._home(line, node)
         lat = self._lat
         latency = self._l1_hit_lat
 
-        if op.scope is Scope.CTA:
-            node = op.node
-            slices = self.l1[node.gpu * self._gpms_per_gpu + node.gpm]
-            hit = slices[op.cta % len(slices)].lookup(line)
+        if scope is Scope.CTA:
+            hit = self._l1_slots[slot].lookup(line)
             if hit is not None:
                 return AccessOutcome(hit.version, latency, hit_level="l1")
 
-        node = op.node
-        nflat = node.gpu * self._gpms_per_gpu + node.gpm
-        local = self.l2[nflat]
-        self.l2_bytes_per_gpm[nflat] += self._line_size
+        local = self.l2[flat]
+        self.l2_bytes_per_gpm[flat] += self._line_size
         latency += self._l2_hit_lat
-        may_hit_local = op.scope == Scope.CTA or op.node == home
+        may_hit_local = scope == Scope.CTA or node == home
         entry = local.lookup(line) if may_hit_local else None
         if not may_hit_local:
             local.stats.misses += 1
         if entry is not None:
-            self._l1_fill(op, line, entry.version, remote=home != op.node)
+            self._l1_fill(slot, node, line, entry.version,
+                          remote=home != node)
             return AccessOutcome(entry.version, latency,
                                  hit_level="local_l2")
 
-        if op.node == home:
+        if node == home:
             version = self.dram[self.flat(home)].read(line)
             latency += lat.dram_access
             victim = local.fill(line, version, remote=False)
-            self._handle_l2_victim(op.node, victim)
-            self._l1_fill(op, line, version, remote=False)
+            self._handle_l2_victim(node, victim)
+            self._l1_fill(slot, node, line, version, remote=False)
             return AccessOutcome(version, latency, hit_level="dram")
 
-        if home.gpu != op.node.gpu:
+        if home.gpu != node.gpu:
             self.stats.remote_gpu_loads += 1
-        self.send(MsgType.LOAD_REQ, op.node, home, line)
-        latency += 2 * self.hop_latency(op.node, home)
+        self.send(MsgType.LOAD_REQ, node, home, line)
+        latency += 2 * self.hop_latency(node, home)
         home_l2 = self.l2[self.flat(home)]
         self._l2_touch(home, self._line_size)
         latency += self._l2_hit_lat
@@ -146,42 +143,39 @@ class NonHierarchicalSWProtocol(_SoftwareProtocolBase):
         else:
             version = hentry.version
             level = "home_l2"
-        self.send(MsgType.DATA_RESP, home, op.node, line)
+        self.send(MsgType.DATA_RESP, home, node, line)
         victim = local.fill(line, version, remote=True)
-        self._handle_l2_victim(op.node, victim)
-        self._l1_fill(op, line, version, remote=True)
+        self._handle_l2_victim(node, victim)
+        self._l1_fill(slot, node, line, version, remote=True)
         return AccessOutcome(version, latency, hit_level=level)
 
     # -- stores ----------------------------------------------------------
 
-    def _store(self, op: MemOp) -> AccessOutcome:
-        line = op.address >> self._line_bits
-        home = self._home(line, op.node)
+    def _store(self, line: int, node: NodeId, flat: int, slot: int,
+               size: int) -> AccessOutcome:
+        home = self._home(line, node)
         version = self._new_version()
-        payload = min(op.size, self._line_size)
-        lat = self._lat
+        payload = min(size, self._line_size)
         latency = self._l1_hit_lat + self._l2_hit_lat
 
-        self._l1_store(op, line, version, remote=home != op.node)
-        node = op.node
-        nflat = node.gpu * self._gpms_per_gpu + node.gpm
-        local = self.l2[nflat]
-        self.l2_bytes_per_gpm[nflat] += payload
-        victim = local.write(line, version, dirty=op.node == home,
-                             remote=home != op.node)
-        self._handle_l2_victim(op.node, victim)
+        self._l1_store(slot, line, version, remote=home != node)
+        local = self.l2[flat]
+        self.l2_bytes_per_gpm[flat] += payload
+        victim = local.write(line, version, dirty=node == home,
+                             remote=home != node)
+        self._handle_l2_victim(node, victim)
 
-        if op.node != home:
-            self.send(MsgType.STORE_REQ, op.node, home, line, payload=payload)
-            latency += self.hop_latency(op.node, home)
+        if node != home:
+            self.send(MsgType.STORE_REQ, node, home, line, payload=payload)
+            latency += self.hop_latency(node, home)
             self._home_store(home, line, version, payload)
         return AccessOutcome(0, latency)
 
     def _atomic(self, op: MemOp) -> AccessOutcome:
-        line = op.address >> self._line_bits
+        line, _, _, slot = self.locate(op)
         if op.scope == Scope.CTA:
             version = self._new_version()
-            self._l1_store(op, line, version, remote=False)
+            self._l1_store(slot, line, version, remote=False)
             return AccessOutcome(version, self._l1_hit_lat,
                                  exposed=True, hit_level="l1")
         # Flat software coherence performs every scoped atomic at the
@@ -200,7 +194,7 @@ class NonHierarchicalSWProtocol(_SoftwareProtocolBase):
 
     def _acquire(self, op: MemOp) -> AccessOutcome:
         if op.scope == Scope.CTA:
-            out = self._load(op)
+            out = self._load_op(op)
             out.exposed = True
             return out
         slices = self.l1[self.flat(op.node)]
@@ -212,7 +206,7 @@ class NonHierarchicalSWProtocol(_SoftwareProtocolBase):
         self._bulk_invalidate_l2(
             op.node, lambda entry: entry.remote
         )
-        out = self._load(op)
+        out = self._load_op(op)
         out.latency += self.cfg.timing.bulk_invalidate_cycles
         out.exposed = True
         return out
@@ -236,61 +230,58 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
     def _homes(self, line: int, node: NodeId):
         return self.homes(line, node)
 
-    def _may_hit(self, cache_node: NodeId, op: MemOp, ghome: NodeId,
+    def _may_hit(self, cache_node: NodeId, scope: Scope, ghome: NodeId,
                  syshome: NodeId) -> bool:
-        if op.scope == Scope.CTA:
+        if scope == Scope.CTA:
             return True
-        if op.scope == Scope.GPU:
+        if scope == Scope.GPU:
             return cache_node in (ghome, syshome)
         return cache_node == syshome
 
     # -- loads ---------------------------------------------------------
 
-    def _load(self, op: MemOp) -> AccessOutcome:
-        line = op.address >> self._line_bits
-        ghome, syshome = self.homes(line, op.node)
+    def _load(self, line: int, node: NodeId, flat: int, slot: int,
+              scope: Scope) -> AccessOutcome:
+        ghome, syshome = self.homes(line, node)
         lat = self._lat
         latency = self._l1_hit_lat
 
-        if op.scope is Scope.CTA:
-            node = op.node
-            slices = self.l1[node.gpu * self._gpms_per_gpu + node.gpm]
-            hit = slices[op.cta % len(slices)].lookup(line)
+        if scope is Scope.CTA:
+            hit = self._l1_slots[slot].lookup(line)
             if hit is not None:
                 return AccessOutcome(hit.version, latency, hit_level="l1")
 
-        node = op.node
-        nflat = node.gpu * self._gpms_per_gpu + node.gpm
-        local = self.l2[nflat]
-        self.l2_bytes_per_gpm[nflat] += self._line_size
+        local = self.l2[flat]
+        self.l2_bytes_per_gpm[flat] += self._line_size
         latency += self._l2_hit_lat
-        if self._may_hit(op.node, op, ghome, syshome):
+        if self._may_hit(node, scope, ghome, syshome):
             entry = local.lookup(line)
         else:
             entry = None
             local.stats.misses += 1
         if entry is not None:
-            self._l1_fill(op, line, entry.version, remote=op.node != syshome)
+            self._l1_fill(slot, node, line, entry.version,
+                          remote=node != syshome)
             return AccessOutcome(entry.version, latency,
                                  hit_level="local_l2")
 
-        if op.node == syshome:
+        if node == syshome:
             version = self.dram[self.flat(syshome)].read(line)
             latency += lat.dram_access
             victim = local.fill(line, version, remote=False)
-            self._handle_l2_victim(op.node, victim)
-            self._l1_fill(op, line, version, remote=False)
+            self._handle_l2_victim(node, victim)
+            self._l1_fill(slot, node, line, version, remote=False)
             return AccessOutcome(version, latency, hit_level="dram")
 
         version = None
         level = "dram"
-        if op.node != ghome:
-            self.send(MsgType.LOAD_REQ, op.node, ghome, line)
-            latency += 2 * self.hop_latency(op.node, ghome)
+        if node != ghome:
+            self.send(MsgType.LOAD_REQ, node, ghome, line)
+            latency += 2 * self.hop_latency(node, ghome)
             self._l2_touch(ghome, self._line_size)
             latency += self._l2_hit_lat
             gl2 = self.l2[self.flat(ghome)]
-            if self._may_hit(ghome, op, ghome, syshome):
+            if self._may_hit(ghome, scope, ghome, syshome):
                 gentry = gl2.lookup(line)
             else:
                 gentry = None
@@ -317,7 +308,7 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
                 )
                 self._handle_l2_victim(syshome, svictim)
             self.send(MsgType.DATA_RESP, syshome, ghome, line)
-            if op.node != ghome:
+            if node != ghome:
                 gvictim = self.l2[self.flat(ghome)].fill(
                     line, version, remote=True
                 )
@@ -331,35 +322,32 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
             )
             self._handle_l2_victim(syshome, svictim)
 
-        if op.node != ghome:
-            self.send(MsgType.DATA_RESP, ghome, op.node, line)
+        if node != ghome:
+            self.send(MsgType.DATA_RESP, ghome, node, line)
         victim = local.fill(line, version, remote=True)
-        self._handle_l2_victim(op.node, victim)
-        self._l1_fill(op, line, version, remote=True)
+        self._handle_l2_victim(node, victim)
+        self._l1_fill(slot, node, line, version, remote=True)
         return AccessOutcome(version, latency, hit_level=level)
 
     # -- stores ----------------------------------------------------------
 
-    def _store(self, op: MemOp) -> AccessOutcome:
-        line = op.address >> self._line_bits
-        ghome, syshome = self.homes(line, op.node)
+    def _store(self, line: int, node: NodeId, flat: int, slot: int,
+               size: int) -> AccessOutcome:
+        ghome, syshome = self.homes(line, node)
         version = self._new_version()
-        payload = min(op.size, self._line_size)
-        lat = self._lat
+        payload = min(size, self._line_size)
         latency = self._l1_hit_lat + self._l2_hit_lat
 
-        self._l1_store(op, line, version, remote=op.node != syshome)
-        node = op.node
-        nflat = node.gpu * self._gpms_per_gpu + node.gpm
-        local = self.l2[nflat]
-        self.l2_bytes_per_gpm[nflat] += payload
-        victim = local.write(line, version, dirty=op.node == syshome,
-                             remote=op.node != syshome)
-        self._handle_l2_victim(op.node, victim)
+        self._l1_store(slot, line, version, remote=node != syshome)
+        local = self.l2[flat]
+        self.l2_bytes_per_gpm[flat] += payload
+        victim = local.write(line, version, dirty=node == syshome,
+                             remote=node != syshome)
+        self._handle_l2_victim(node, victim)
 
-        if op.node != ghome:
-            self.send(MsgType.STORE_REQ, op.node, ghome, line, payload=payload)
-            latency += self.hop_latency(op.node, ghome)
+        if node != ghome:
+            self.send(MsgType.STORE_REQ, node, ghome, line, payload=payload)
+            latency += self.hop_latency(node, ghome)
             gl2 = self.l2[self.flat(ghome)]
             self._l2_touch(ghome, payload)
             gvictim = gl2.write(line, version, dirty=ghome == syshome,
@@ -372,10 +360,10 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
         return AccessOutcome(0, latency)
 
     def _atomic(self, op: MemOp) -> AccessOutcome:
-        line = op.address >> self._line_bits
+        line, _, _, slot = self.locate(op)
         if op.scope == Scope.CTA:
             version = self._new_version()
-            self._l1_store(op, line, version, remote=False)
+            self._l1_store(slot, line, version, remote=False)
             return AccessOutcome(version, self._l1_hit_lat,
                                  exposed=True, hit_level="l1")
         ghome, syshome = self.homes(line, op.node)
@@ -383,7 +371,7 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
         # home node for its scope: the GPU home is the .gpu coherence
         # point because all stores write through it.
         target = ghome if op.scope == Scope.GPU else syshome
-        out = self._store(op)
+        out = self._store_op(op)
         if op.node != target:
             self.send(MsgType.ATOMIC_RESP, target, op.node, line)
         latency = self._l2_hit_lat + self.rtt(op.node, target)
@@ -393,7 +381,7 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
 
     def _acquire(self, op: MemOp) -> AccessOutcome:
         if op.scope == Scope.CTA:
-            out = self._load(op)
+            out = self._load_op(op)
             out.exposed = True
             return out
         slices = self.l1[self.flat(op.node)]
@@ -425,7 +413,7 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
                     )
 
                 self._bulk_invalidate_l2(target, stale)
-        out = self._load(op)
+        out = self._load_op(op)
         out.latency += self.cfg.timing.bulk_invalidate_cycles
         out.exposed = True
         return out

@@ -54,9 +54,11 @@ def simulate(trace, cfg: SystemConfig, protocol: str = "hmg",
              telemetry=None) -> SimResult:
     """Run one trace under one protocol and return its :class:`SimResult`.
 
-    ``trace`` must be re-iterable (a list, or a
-    :class:`repro.trace.stream.Trace`) if you plan to reuse it across
-    protocols; a single run only needs one pass.
+    ``trace`` is a :class:`repro.trace.stream.Trace` (or its
+    :class:`~repro.trace.batch.BatchTrace`) or a sequence of
+    :class:`~repro.core.types.MemOp`.  A ``Trace`` keeps its decoded
+    columns across calls, so pass the same one to every protocol
+    rather than a list (which is packed afresh on each call).
 
     ``sanitize=True`` builds a default
     :class:`~repro.core.sanitizer.CoherenceSanitizer`; pass your own
@@ -136,12 +138,17 @@ def compare(trace, cfg: SystemConfig, protocols: Sequence[str],
             sanitize: bool = False) -> dict:
     """Run the same trace under several protocols.
 
-    Returns ``{protocol_name: SimResult}``.  ``trace`` is materialized
-    once so every protocol sees the identical op sequence.
+    Returns ``{protocol_name: SimResult}``.  A sequence of ops is
+    packed into one :class:`~repro.trace.stream.Trace` first, so every
+    protocol sees the identical op sequence and shares its columns.
     """
-    ops = trace if isinstance(trace, (list, tuple)) else list(trace)
+    from repro.trace.batch import BatchTrace
+    from repro.trace.stream import Trace
+
+    if not isinstance(trace, (Trace, BatchTrace)):
+        trace = Trace(workload_name, list(trace))
     return {
-        name: simulate(ops, cfg, protocol=name, engine=engine,
+        name: simulate(trace, cfg, protocol=name, engine=engine,
                        placement=placement, workload_name=workload_name,
                        fault_plan=fault_plan, sanitize=sanitize)
         for name in protocols

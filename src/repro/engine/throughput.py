@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import gc
 import time
+from typing import TYPE_CHECKING
 
 from repro.config import SystemConfig
 from repro.core.protocol import CoherenceProtocol, TrafficSink
-from repro.core.types import MemOp, MsgType, NodeId
+from repro.core.types import MsgType, NodeId, OpType, Scope
 from repro.engine.stats import (
     DegradationStats,
     ResourceTimes,
@@ -34,6 +35,31 @@ from repro.engine.stats import (
     apply_fault_expansion,
     total_dram_bytes,
 )
+
+if TYPE_CHECKING:
+    from repro.trace.batch import BatchTrace
+
+_LOAD = int(OpType.LOAD)
+_STORE = int(OpType.STORE)
+#: Ops decoded per ``tolist`` batch by the columnar loop.
+_CHUNK = 8192
+
+
+def _telemetry_hook(tracer, sink, sampler):
+    """Per-op telemetry callback ``(index, scope)``: the op index is the
+    tracer's and sampler's clock, and a tallying sink learns the scope
+    of the messages the op is about to send."""
+    has_scope = hasattr(sink, "scope")
+
+    def pre(index: int, scope) -> None:
+        now = float(index)
+        tracer.set_time(now)
+        if has_scope:
+            sink.scope = scope
+        if sampler is not None:
+            sampler.tick(now)
+
+    return pre
 
 
 class ThroughputSink(TrafficSink):
@@ -81,15 +107,22 @@ class ThroughputEngine:
     def run(self, protocol: CoherenceProtocol, trace,
             workload_name: str = "trace", sanitizer=None,
             telemetry=None) -> SimResult:
-        """Process every op of ``trace`` (an iterable of MemOp).
+        """Process every op of ``trace`` (a :class:`Trace`, a
+        :class:`BatchTrace` or a sequence of :class:`MemOp`).
+
+        Runs take the columnar loop (:meth:`_run_columns`).  A
+        ``sanitizer`` inspects a ``MemOp`` per op, so sanitized runs
+        feed :meth:`CoherenceProtocol.process` one materialized op at a
+        time (:meth:`_run_ops`); both loops reach the same protocol
+        handlers.
 
         ``telemetry`` is an optional
         :class:`repro.telemetry.TelemetrySession`.  The clockless
         engine samples analytically per phase: the sampler's clock is
         the op index, and messages trace as zero-duration instants
         (via :class:`repro.telemetry.session.TallyingSink`, which the
-        simulator front-end installs).  ``None`` keeps the
-        uninstrumented loops below untouched.
+        simulator front-end installs).  ``None`` leaves the loops
+        without a per-op hook.
         """
         cfg = self.cfg
         sink = protocol.sink
@@ -98,16 +131,8 @@ class ThroughputEngine:
                 "protocol must be constructed with a ThroughputSink "
                 "(use repro.engine.simulator.simulate)"
             )
-        tolerance = cfg.timing.latency_tolerance
         stall = [0.0] * cfg.total_gpms
-        ops = 0
-        # The per-op loop dominates a run's wall clock; bound lookups
-        # are hoisted into locals and the sanitizer branch is lifted out
-        # of the loop entirely for plain runs.  Telemetry gets its own
-        # loop variant for the same reason: plain runs never test for it.
-        process = protocol.process
-        gpms_per_gpu = cfg.gpms_per_gpu
-        tracer = sampler = None
+        pre = sampler = None
         if telemetry is not None:
             tracer = telemetry.active_tracer
             protocol.set_tracer(tracer)
@@ -118,6 +143,7 @@ class ThroughputEngine:
                 sampler.attach(make_throughput_snapshot(
                     protocol, sink, telemetry
                 ))
+            pre = _telemetry_hook(tracer, sink, sampler)
         # The loop allocates millions of short-lived objects (outcomes,
         # cache lines); none of them form cycles, so the cyclic GC's
         # periodic generation scans are pure overhead — pause it for the
@@ -127,39 +153,13 @@ class ThroughputEngine:
             gc.disable()
         start = time.perf_counter()
         try:
-            if telemetry is not None:
-                has_scope = hasattr(sink, "scope")
-                for op in trace:
-                    tracer.set_time(float(ops))
-                    if has_scope:
-                        sink.scope = op.scope
-                    if sampler is not None:
-                        sampler.tick(float(ops))
-                    outcome = process(op)
-                    if sanitizer is not None:
-                        sanitizer.after_op(protocol, op, outcome, ops)
-                    ops += 1
-                    if outcome.exposed:
-                        node = op.node
-                        flat = node.gpu * gpms_per_gpu + node.gpm
-                        stall[flat] += outcome.latency / tolerance
-            elif sanitizer is None:
-                for op in trace:
-                    outcome = process(op)
-                    ops += 1
-                    if outcome.exposed:
-                        node = op.node
-                        flat = node.gpu * gpms_per_gpu + node.gpm
-                        stall[flat] += outcome.latency / tolerance
+            if sanitizer is None:
+                from repro.trace.batch import as_batch
+
+                ops = self._run_columns(protocol, as_batch(trace), stall,
+                                        pre)
             else:
-                for op in trace:
-                    outcome = process(op)
-                    sanitizer.after_op(protocol, op, outcome, ops)
-                    ops += 1
-                    if outcome.exposed:
-                        node = op.node
-                        flat = node.gpu * gpms_per_gpu + node.gpm
-                        stall[flat] += outcome.latency / tolerance
+                ops = self._run_ops(protocol, trace, stall, sanitizer, pre)
         finally:
             wall_seconds = time.perf_counter() - start
             if gc_was_enabled:
@@ -202,6 +202,85 @@ class ThroughputEngine:
             wall_seconds=wall_seconds,
             degradation=degradation,
         )
+
+    def _run_columns(self, protocol: CoherenceProtocol, batch: BatchTrace,
+                     stall: list, pre=None) -> int:
+        """The main loop: ops straight from the trace columns.
+
+        Line, flat GPM and L1 slot columns come from
+        :func:`repro.trace.batch.decoded` (derived once per trace and
+        geometry, shared by every protocol cell), the per-op counters
+        of :meth:`CoherenceProtocol.process` are applied in bulk by
+        :meth:`CoherenceProtocol.count_ops`, and each op goes to its
+        handler: loads and stores with decoded arguments, atomics and
+        synchronizing ops (rare) as a materialized ``MemOp``.  ``pre``
+        (telemetry) is called with each op's index and scope first.
+        """
+        # numpy arrives with repro.trace.batch.  Both are imported on
+        # first use, not with this module: importing numpy from inside
+        # the repro.engine package import measurably slows interpreter
+        # start-up (about 20 ms on the 2-vCPU benchmark host).
+        import numpy as np
+
+        from repro.trace.batch import decoded
+
+        cfg = self.cfg
+        cols = decoded(batch, cfg)
+        protocol.count_ops(cols.kind_order, cols.kind_counts,
+                           cols.ops_per_gpm)
+        tolerance = cfg.timing.latency_tolerance
+        load = protocol._load
+        store = protocol._store
+        sync = protocol.sync_handlers()
+        op_at = batch.op_at
+        nodes = np.empty(cfg.total_gpms, dtype=object)
+        nodes[:] = [protocol.node(i) for i in range(cfg.total_gpms)]
+        scopes = np.array(list(Scope), dtype=object)
+        n = len(batch)
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            flat = cols.flat[lo:hi]
+            for i, kind, line, node, f, slot, scope, size in zip(
+                    range(lo, hi),
+                    batch.kind[lo:hi].tolist(),
+                    cols.line[lo:hi].tolist(),
+                    nodes[flat].tolist(),
+                    flat.tolist(),
+                    cols.slot[lo:hi].tolist(),
+                    scopes[batch.scope[lo:hi]].tolist(),
+                    batch.size[lo:hi].tolist()):
+                if pre is not None:
+                    pre(i, scope)
+                if kind == _LOAD:
+                    outcome = load(line, node, f, slot, scope)
+                elif kind == _STORE:
+                    outcome = store(line, node, f, slot, size)
+                else:
+                    outcome = sync[kind](op_at(i))
+                if outcome.exposed:
+                    stall[f] += outcome.latency / tolerance
+        return n
+
+    def _run_ops(self, protocol: CoherenceProtocol, trace, stall: list,
+                 sanitizer, pre=None) -> int:
+        """The sanitized loop: one :class:`MemOp` at a time through
+        :meth:`CoherenceProtocol.process`, each checked after it runs."""
+        tolerance = self.cfg.timing.latency_tolerance
+        gpms_per_gpu = self.cfg.gpms_per_gpu
+        process = protocol.process
+        ops = 0
+        for op in trace:
+            if pre is not None:
+                pre(ops, op.scope)
+            outcome = process(op)
+            sanitizer.after_op(protocol, op, outcome, ops)
+            ops += 1
+            if outcome.exposed:
+                node = op.node
+                stall[node.gpu * gpms_per_gpu + node.gpm] += (
+                    outcome.latency / tolerance
+                )
+        return ops
 
     def _resource_times(self, protocol: CoherenceProtocol,
                         sink: ThroughputSink, stall) -> ResourceTimes:

@@ -40,7 +40,7 @@ from repro.engine import vec_state as vs
 from repro.engine.stats import (DegradationStats, ResourceTimes, SimResult,
                                 apply_fault_expansion)
 from repro.memsys.cache import CacheStats
-from repro.trace.batch import as_batch
+from repro.trace.batch import as_batch, decoded
 
 #: Registry protocols the vectorized engine can account for.  Anything
 #: else (plugin protocols, detailed-engine-only models) falls back to
@@ -149,8 +149,10 @@ class _Prep:
 def _prepare(batch, cfg, placement: str,
              cta_atomics_place: bool = False) -> _Prep:
     """Build (and memoize on the batch) the engine's derived columns:
-    line/sector indices, page placement, system/GPU homes, hop classes,
-    L1 slice units, per-kind index lists and epoch cuts.
+    sector indices, page placement, system/GPU homes, hop classes,
+    per-kind index lists and epoch cuts, on top of the line, flat-GPM
+    and L1-slot columns the scalar engine shares
+    (:func:`repro.trace.batch.decoded`).
 
     ``cta_atomics_place`` mirrors a scalar subtlety: every protocol
     except ``ideal`` satisfies CTA-scope atomics entirely in the L1 and
@@ -165,12 +167,13 @@ def _prepare(batch, cfg, placement: str,
         return hit
     p = _Prep()
     G = cfg.gpms_per_gpu
-    line_bits = cfg.line_size.bit_length() - 1
+    cols = decoded(batch, cfg)
+    gpu = batch.gpu.astype(np.int64)
     p.kind = batch.kind.astype(np.int64)
     p.sc = batch.scope.astype(np.int64)
-    p.size = batch.size
-    p.n = batch.gpu * G + batch.gpm
-    p.line = batchmap.lines_of(batch.address, line_bits)
+    p.size = batch.size.astype(np.int64)
+    p.n = cols.flat
+    p.line = cols.line
     page = batchmap.pages_of_lines(p.line, cfg.lines_per_page)
     p.sector = batchmap.sectors_of_lines(p.line, cfg.dir_lines_per_entry)
     eligible = p.kind != _KB
@@ -182,9 +185,9 @@ def _prepare(batch, cfg, placement: str,
     )
     p.sh = batchmap.owners_of_pages(p.upages, p.owners, page)
     home_gpm = batchmap.home_gpm_of_sectors(p.sector, G)
-    p.gh = np.where(p.sh // G == batch.gpu, p.sh, batch.gpu * G + home_gpm)
+    p.gh = np.where(p.sh // G == gpu, p.sh, gpu * G + home_gpm)
     p.pay = np.minimum(p.size, cfg.line_size)
-    p.sl = p.n * cfg.l1_slices_per_gpm + batch.cta % cfg.l1_slices_per_gpm
+    p.sl = cols.slot
     same_gpu = p.n // G == p.sh // G
     p.hop_nh = np.where(
         p.n == p.sh, 0,

@@ -98,7 +98,7 @@ def cell_fingerprint(cell: "Cell", sanitize: bool = False) -> str:
 # ----------------------------------------------------------------------
 
 #: Per-process trace memo: (workload, geometry fp, seed, ops_scale) ->
-#: list of ops.  Lives in the worker process; each worker pays trace
+#: :class:`~repro.trace.stream.Trace`.  Lives in the worker process; each worker pays trace
 #: acquisition once per workload, however many cells it simulates.
 _worker_traces: dict = {}
 

@@ -22,6 +22,7 @@ from repro.core.registry import PROTOCOLS
 from repro.core.sanitizer import CoherenceViolation
 from repro.engine.simulator import simulate
 from repro.experiments.parallel import Cell, SweepExecutor, cell_key
+from repro.trace.stream import Trace
 from repro.trace.workloads import FIGURE_ORDER, WORKLOADS
 
 #: Display labels for figure columns, in the paper's legend wording.
@@ -130,13 +131,15 @@ class ExperimentContext:
         """Release executor resources (dismisses a distributed fleet)."""
         self._executor.close()
 
-    def trace(self, workload: str) -> list:
+    def trace(self, workload: str) -> Trace:
         """Generate (or fetch the cached) trace for a workload.
 
         Traces depend only on the context's base config (line/page
         geometry and the reference cache sizes the generators scale
         against), so sensitivity sweeps can reuse them across platform
-        variants.
+        variants.  Either way the context keeps the :class:`Trace`
+        itself, so each trace is decoded once and its derived columns
+        are shared by every cell that simulates it.
         """
         if workload not in self._traces:
             if self.trace_cache is not None:
@@ -144,10 +147,8 @@ class ExperimentContext:
                     workload, self.cfg, self.seed, self.ops_scale
                 )
             else:
-                spec = WORKLOADS[workload]
-                self._traces[workload] = list(
-                    spec.generate(self.cfg, seed=self.seed,
-                                  ops_scale=self.ops_scale)
+                self._traces[workload] = WORKLOADS[workload].generate(
+                    self.cfg, seed=self.seed, ops_scale=self.ops_scale
                 )
         return self._traces[workload]
 

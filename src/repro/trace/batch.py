@@ -1,33 +1,35 @@
-"""Columnar (numpy) batch trace representation.
+"""Columnar trace storage: the one stored form of every trace.
 
-The scalar engines iterate a trace as a list of
-:class:`~repro.core.types.MemOp` objects — one Python object per op,
-one attribute dereference per field read.  The vectorized throughput
-engine (:mod:`repro.engine.vectorized`) instead consumes the whole
-trace as a handful of numpy arrays, one per field, and classifies ops
-with array predicates.
-
-:class:`BatchTrace` holds exactly the raw trace columns.  The binary
-trace cache (:mod:`repro.trace.cache`) packs each op as 18 bytes of
+A trace is held as one numpy structured array of 18-byte records,
 ``<BQBBHBI>`` — (op, address, gpu, gpm, cta, scope, size) — which is
-precisely a packed numpy structured dtype, so :meth:`from_payload`
-decodes a cached trace into columns with a single ``np.frombuffer``
-and seven column copies, never materializing a ``MemOp``.
-:meth:`from_ops` is the fallback for traces that only exist as op
-lists (freshly generated, hand-built in tests).
+byte for byte the binary trace cache's payload
+(:mod:`repro.trace.cache`).  Generation appends records
+(:mod:`repro.trace.generator`), the cache writes them with one
+``tobytes`` and reads them back with one ``np.frombuffer``, and the
+engines consume the columns directly.
 
-Engine-derived columns (line indices, home mappings, epoch segment
-boundaries) are *not* stored here: they depend on the platform
-geometry and placement policy, and are cached per ``(geometry,
-placement)`` by the vectorized engine via the :attr:`prepared` dict.
+Per-op consumers — the detailed engine, the sanitizer and telemetry
+loops of the throughput engine, locality analysis, the JSON-lines trace
+format — see :class:`~repro.core.types.MemOp` objects materialized on
+demand by :meth:`BatchTrace.iter_ops` / :meth:`BatchTrace.op_at`;
+nothing keeps them.
+
+Columns that depend on the platform geometry (line indices, flat GPM
+and L1 slot numbers, the per-kind and per-GPM op counts) are derived
+once per geometry by :func:`decoded` and memoized in
+:attr:`BatchTrace.prepared`, so every protocol cell of a sweep — on
+either throughput engine — shares them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: Packed layout of one cached op — must mirror
-#: ``repro.trace.cache._OP`` (``struct.Struct("<BQBBHBI")``, 18 bytes).
+from repro.core import batchmap
+from repro.core.types import MemOp, NodeId, OpType, Scope
+
+#: Packed layout of one op — must mirror ``repro.trace.cache._OP``
+#: (``struct.Struct("<BQBBHBI")``, 18 bytes).
 OP_DTYPE = np.dtype({
     "names": ["op", "address", "gpu", "gpm", "cta", "scope", "size"],
     "formats": ["u1", "<u8", "u1", "u1", "<u2", "u1", "<u4"],
@@ -35,84 +37,198 @@ OP_DTYPE = np.dtype({
     "itemsize": 18,
 })
 
+#: Largest value each packed field holds (every field is unsigned).
+FIELD_MAX = {name: int(np.iinfo(OP_DTYPE[name]).max)
+             for name in OP_DTYPE.names}
+
+_OP_TYPES = tuple(OpType)
+_SCOPES = tuple(Scope)
+#: Ops materialized per ``tolist`` batch when iterating as MemOps.
+_ITER_CHUNK = 4096
+
+
+def validate(records: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first op whose kind or scope is
+    not a known value or whose size is not positive."""
+    bad = ((records["op"] >= len(_OP_TYPES))
+           | (records["scope"] >= len(_SCOPES))
+           | (records["size"] == 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        rec = records[i]
+        raise ValueError(
+            f"op {i}: invalid kind/scope/size "
+            f"({int(rec['op'])}, {int(rec['scope'])}, {int(rec['size'])})"
+        )
+
 
 class BatchTrace:
-    """One trace as columnar numpy arrays (see module docstring)."""
+    """One trace as an array of packed op records (see module docstring)."""
 
-    __slots__ = ("kind", "address", "gpu", "gpm", "cta", "scope", "size",
-                 "prepared")
+    __slots__ = ("records", "prepared")
 
-    def __init__(self, kind, address, gpu, gpm, cta, scope, size):
-        self.kind = kind          # uint8, OpType values
-        self.address = address    # uint64 byte addresses
-        self.gpu = gpu            # int64
-        self.gpm = gpm            # int64
-        self.cta = cta            # int64
-        self.scope = scope        # uint8, Scope values
-        self.size = size          # int64
-        #: Cache of engine-prepared derived columns, keyed by
-        #: ``(geometry fingerprint, placement)``.
+    def __init__(self, records: np.ndarray):
+        if records.dtype != OP_DTYPE:
+            raise TypeError(f"records must have dtype OP_DTYPE, "
+                            f"got {records.dtype}")
+        self.records = records
+        #: Geometry-derived columns, keyed per consumer (see
+        #: :func:`decoded` and the vectorized engine's ``_prepare``).
         self.prepared: dict = {}
 
     def __len__(self) -> int:
-        return int(self.kind.size)
+        return int(self.records.size)
 
-    # ------------------------------------------------------------------
+    # -- columns (views into the records, no copies) -------------------
+
+    @property
+    def kind(self) -> np.ndarray:
+        return self.records["op"]
+
+    @property
+    def address(self) -> np.ndarray:
+        return self.records["address"]
+
+    @property
+    def gpu(self) -> np.ndarray:
+        return self.records["gpu"]
+
+    @property
+    def gpm(self) -> np.ndarray:
+        return self.records["gpm"]
+
+    @property
+    def cta(self) -> np.ndarray:
+        return self.records["cta"]
+
+    @property
+    def scope(self) -> np.ndarray:
+        return self.records["scope"]
+
+    @property
+    def size(self) -> np.ndarray:
+        return self.records["size"]
+
+    # -- construction --------------------------------------------------
 
     @classmethod
-    def from_payload(cls, payload: bytes, count: int = None) -> "BatchTrace":
-        """Decode the trace cache's packed op payload directly.
+    def from_payload(cls, payload, count: int = None) -> "BatchTrace":
+        """View the trace cache's packed op payload as records.
 
         ``payload`` is the raw bytes between the JSON header and the CRC
-        trailer of a ``.trc`` file (``count * 18`` bytes).  Columns are
-        copied out of the structured view so the result does not alias
-        the (possibly memory-mapped) input buffer.
+        trailer of a ``.trc`` file (``count * 18`` bytes).  The records
+        alias ``payload`` (read-only): nothing is decoded or copied.
         """
-        raw = np.frombuffer(payload, dtype=OP_DTYPE, count=-1 if count is None
-                            else count)
-        return cls(
-            kind=raw["op"].copy(),
-            address=raw["address"].copy(),
-            gpu=raw["gpu"].astype(np.int64),
-            gpm=raw["gpm"].astype(np.int64),
-            cta=raw["cta"].astype(np.int64),
-            scope=raw["scope"].copy(),
-            size=raw["size"].astype(np.int64),
-        )
+        return cls(np.frombuffer(
+            payload, dtype=OP_DTYPE, count=-1 if count is None else count))
 
     @classmethod
     def from_ops(cls, ops) -> "BatchTrace":
-        """Build columns from a sequence of :class:`MemOp` (fallback for
-        traces that never went through the binary cache)."""
-        n = len(ops)
-        kind = np.fromiter((int(op.op) for op in ops), np.uint8, count=n)
-        address = np.fromiter((op.address for op in ops), np.uint64, count=n)
-        gpu = np.fromiter((op.node.gpu for op in ops), np.int64, count=n)
-        gpm = np.fromiter((op.node.gpm for op in ops), np.int64, count=n)
-        cta = np.fromiter((op.cta for op in ops), np.int64, count=n)
-        scope = np.fromiter((int(op.scope) for op in ops), np.uint8, count=n)
-        size = np.fromiter((op.size for op in ops), np.int64, count=n)
-        return cls(kind, address, gpu, gpm, cta, scope, size)
+        """Pack a sequence of :class:`MemOp` (hand-built traces, the
+        JSON-lines format).  Raises ``ValueError`` for a field value the
+        packed format cannot hold (negative, or above
+        :data:`FIELD_MAX`)."""
+        records = np.empty(len(ops), OP_DTYPE)
+        for field, values in (
+            ("op", [op.op for op in ops]),
+            ("address", [op.address for op in ops]),
+            ("gpu", [op.node.gpu for op in ops]),
+            ("gpm", [op.node.gpm for op in ops]),
+            ("cta", [op.cta for op in ops]),
+            ("scope", [op.scope for op in ops]),
+            ("size", [op.size for op in ops]),
+        ):
+            if values and not (0 <= min(values)
+                               and max(values) <= FIELD_MAX[field]):
+                bad = next(i for i, v in enumerate(values)
+                           if not 0 <= v <= FIELD_MAX[field])
+                raise ValueError(
+                    f"op {bad}: {field} {values[bad]} does not fit the "
+                    f"packed trace format (0..{FIELD_MAX[field]})")
+            records[field] = np.array(values, dtype=OP_DTYPE[field])
+        return cls(records)
+
+    def payload(self) -> bytes:
+        """The packed ``<BQBBHBI>`` bytes (the trace cache payload)."""
+        return self.records.tobytes()
+
+    # -- MemOp views ---------------------------------------------------
+
+    def op_at(self, index: int) -> MemOp:
+        """Materialize op ``index`` as a :class:`MemOp`."""
+        kind, address, gpu, gpm, cta, scope, size = \
+            self.records[index].tolist()
+        return MemOp(_OP_TYPES[kind], address, NodeId(gpu, gpm), cta,
+                     _SCOPES[scope], size)
+
+    def iter_ops(self):
+        """Yield every op as a :class:`MemOp`, decoding ``_ITER_CHUNK``
+        records at a time."""
+        kinds, scopes = _OP_TYPES, _SCOPES
+        nodes: dict = {}
+        for lo in range(0, len(self), _ITER_CHUNK):
+            for kind, address, gpu, gpm, cta, scope, size in \
+                    self.records[lo:lo + _ITER_CHUNK].tolist():
+                node = nodes.get((gpu, gpm))
+                if node is None:
+                    node = nodes[(gpu, gpm)] = NodeId(gpu, gpm)
+                yield MemOp(kinds[kind], address, node, cta, scopes[scope],
+                            size)
+
+
+class Decoded:
+    """Geometry-derived columns of one trace (see :func:`decoded`)."""
+
+    __slots__ = ("line", "flat", "slot", "kind_order", "kind_counts",
+                 "ops_per_gpm")
+
+    def __init__(self, batch: BatchTrace, cfg):
+        G = cfg.gpms_per_gpu
+        S = cfg.l1_slices_per_gpm
+        #: Cache line index of every op (int64).
+        self.line = batchmap.lines_of(batch.address,
+                                      cfg.line_size.bit_length() - 1)
+        #: Flat GPM index, ``gpu * gpms_per_gpu + gpm`` (int64).
+        self.flat = batch.gpu.astype(np.int64) * G + batch.gpm
+        #: Flat L1 slice index, ``flat * slices + cta % slices`` (int64).
+        self.slot = self.flat * S + batch.cta % S
+        kinds = batch.kind
+        counts = np.bincount(kinds, minlength=len(_OP_TYPES))
+        present = np.flatnonzero(counts)
+        firsts = [int(np.argmax(kinds == k)) for k in present]
+        #: Kinds present, in order of first appearance (the key order
+        #: of a per-op ``ProtocolStats.op_counts``).
+        self.kind_order = tuple(
+            _OP_TYPES[k] for _, k in sorted(zip(firsts, present.tolist())))
+        #: Ops per kind, indexed by ``OpType`` value.
+        self.kind_counts = counts.tolist()
+        #: Ops issued per flat GPM.
+        self.ops_per_gpm = np.bincount(
+            self.flat, minlength=cfg.total_gpms).tolist()
+
+
+def decoded(batch: BatchTrace, cfg) -> Decoded:
+    """The trace's :class:`Decoded` columns for ``cfg``'s geometry,
+    derived on first use and memoized on the batch."""
+    key = ("decoded", cfg.line_size, cfg.num_gpus, cfg.gpms_per_gpu,
+           cfg.l1_slices_per_gpm)
+    hit = batch.prepared.get(key)
+    if hit is None:
+        hit = batch.prepared[key] = Decoded(batch, cfg)
+    return hit
 
 
 def as_batch(trace) -> BatchTrace:
-    """Columnar view of ``trace``, memoized on the trace object.
+    """Columnar form of ``trace``.
 
-    Accepts a :class:`BatchTrace` (returned as-is), a
-    :class:`repro.trace.stream.Trace` (columns cached on the instance —
-    traces loaded from the binary cache arrive with the columns already
-    decoded), or any sequence of :class:`MemOp`.
+    A :class:`BatchTrace` is returned as-is and a
+    :class:`repro.trace.stream.Trace` hands over the batch it holds;
+    any other sequence of :class:`MemOp` is packed (not memoized — keep
+    a ``Trace`` to reuse the columns across runs).
     """
     if isinstance(trace, BatchTrace):
         return trace
-    cached = getattr(trace, "_batch", None)
-    if cached is not None:
-        return cached
-    batch = BatchTrace.from_ops(
-        trace.ops if hasattr(trace, "ops") else list(trace)
-    )
-    try:
-        trace._batch = batch
-    except (AttributeError, TypeError):
-        pass  # plain lists/tuples can't memoize; caller keeps the ref
-    return batch
+    batch = getattr(trace, "batch", None)
+    if isinstance(batch, BatchTrace):
+        return batch
+    return BatchTrace.from_ops(list(trace))

@@ -19,10 +19,16 @@ Format (little-endian)::
                  (op, address, gpu, gpm, cta, scope, size)
     crc     I    zlib.crc32 of the packed op payload
 
+The op payload is byte for byte a :class:`~repro.trace.batch.BatchTrace`
+record array: :meth:`TraceCache.store` writes ``records.tobytes()`` and
+:meth:`TraceCache.load` views the file bytes with one ``np.frombuffer``
+— no op is decoded one at a time on either side.
+
 Robustness: files are written atomically (tmp + ``os.replace``), and
 :meth:`TraceCache.load` answers ``None`` — after a ``warnings.warn`` —
 for anything it cannot fully validate (bad magic, foreign version,
-truncated payload, CRC mismatch, key mismatch from a hash collision).
+truncated payload, CRC mismatch, key mismatch from a hash collision,
+an op record with an unknown kind or scope or a zero size).
 A corrupt cache can cost regeneration time but never wrong results.
 """
 
@@ -37,7 +43,7 @@ import zlib
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.core.types import MemOp, NodeId, OpType, Scope
+from repro.trace.batch import BatchTrace, as_batch, validate
 from repro.trace.stream import Trace
 
 MAGIC = b"RTRC"
@@ -47,9 +53,6 @@ FORMAT_VERSION = 1
 #: scope u8, size u32.
 _OP = struct.Struct("<BQBBHBI")
 _HEAD = struct.Struct("<4sHI")
-
-_OP_KINDS = {int(k) for k in OpType}
-_SCOPES = {int(s) for s in Scope}
 
 #: SystemConfig fields trace generation actually reads: topology, the
 #: line/page geometry, and the capacities the synthetic working sets
@@ -114,14 +117,9 @@ class TraceCache:
             "footprint_bytes": trace.footprint_bytes,
             "kernels": trace.kernels,
             "meta": trace.meta,
-            "ops": len(trace.ops),
+            "ops": len(trace),
         }).encode()
-        pack = _OP.pack
-        payload = bytearray()
-        for op in trace.ops:
-            node = op.node
-            payload += pack(int(op.op), op.address, node.gpu, node.gpm,
-                            op.cta, int(op.scope), op.size)
+        payload = as_batch(trace).payload()
         target = self.path(workload, cfg, seed, ops_scale)
         # Per-process tmp name: parallel workers may race to populate
         # the same key; each writes its own tmp and the os.replace()s
@@ -131,7 +129,7 @@ class TraceCache:
             fh.write(_HEAD.pack(MAGIC, FORMAT_VERSION, len(header)))
             fh.write(header)
             fh.write(payload)
-            fh.write(struct.pack("<I", zlib.crc32(bytes(payload))))
+            fh.write(struct.pack("<I", zlib.crc32(payload)))
         os.replace(tmp, target)
         return target
 
@@ -167,38 +165,23 @@ class TraceCache:
             raise TraceCacheError(
                 f"payload is {len(raw) - start} bytes, expected {need}"
             )
-        payload = raw[start:start + count * _OP.size]
+        payload = memoryview(raw)[start:start + count * _OP.size]
         (crc,) = struct.unpack_from("<I", raw, start + count * _OP.size)
         if zlib.crc32(payload) != crc:
             raise TraceCacheError("payload CRC mismatch")
-        ops = []
-        append = ops.append
-        for kind, address, gpu, gpm, cta, scope, size in \
-                _OP.iter_unpack(payload):
-            if kind not in _OP_KINDS or scope not in _SCOPES:
-                raise TraceCacheError(
-                    f"op {len(ops)}: invalid kind/scope "
-                    f"({kind}, {scope})"
-                )
-            append(MemOp(OpType(kind), address, NodeId(gpu, gpm),
-                         cta=cta, scope=Scope(scope), size=size))
-        trace = Trace(
+        # The payload is the record array: view it, then check each record.
+        batch = BatchTrace.from_payload(payload, count)
+        try:
+            validate(batch.records)
+        except ValueError as exc:
+            raise TraceCacheError(str(exc)) from exc
+        return Trace(
             name=header.get("name", "trace"),
-            ops=ops,
+            batch=batch,
             footprint_bytes=header.get("footprint_bytes", 0),
             kernels=header.get("kernels", 0),
             meta=header.get("meta", {}) or {},
         )
-        # The packed payload is already the vectorized engine's columnar
-        # layout; decode it once here so batch consumers skip the
-        # per-MemOp fallback path entirely.
-        try:
-            from repro.trace.batch import BatchTrace
-
-            trace._batch = BatchTrace.from_payload(payload, count)
-        except ImportError:  # numpy-free installs still get scalar runs
-            pass
-        return trace
 
     def load(self, workload: str, cfg, seed: int,
              ops_scale: float) -> Optional[Trace]:

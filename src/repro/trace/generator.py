@@ -21,9 +21,10 @@ from typing import Callable
 import numpy as np
 
 from repro.config import SystemConfig
-from repro.core.types import MemOp, NodeId, OpType, Scope
+from repro.core.types import NodeId, OpType, Scope
 from repro.memsys.address import AddressSpace, Region
-from repro.trace.stream import Trace, interleave
+from repro.trace.batch import OP_DTYPE, BatchTrace
+from repro.trace.stream import Trace, interleave_order
 
 #: Pattern name -> generator function, populated by trace.patterns.
 PATTERNS: dict = {}
@@ -90,8 +91,9 @@ class GenContext:
             for m in range(cfg.gpms_per_gpu)
         ]
         self.ops_scale = ops_scale
-        self._phases: list = []  # interleaved kernel phases
-        self._streams = self._fresh_streams()
+        self._phases: list = []  # interleaved kernel phases (records)
+        self._streams = self._fresh_streams()  # per-GPM record chunks
+        self._rows = self._fresh_streams()  # per-GPM unpacked rows
         self.kernels_emitted = 0
 
     # -- budget helpers ---------------------------------------------------
@@ -125,12 +127,32 @@ class GenContext:
         return self.space.allocate(name, lines * self.line)
 
     # -- op emission -------------------------------------------------------
+    #
+    # Each GPM's current-kernel stream is a list of record chunks
+    # (OP_DTYPE arrays) plus a tail of not-yet-packed row tuples, so a
+    # single emit costs one tuple and a span costs a few array ops.
 
     def _fresh_streams(self) -> list:
         return [[] for _ in range(self.n_gpms)]
 
     def _flat(self, node: NodeId) -> int:
         return node.gpu * self.cfg.gpms_per_gpu + node.gpm
+
+    def _flush(self, flat: int) -> None:
+        """Pack GPM ``flat``'s pending rows into a record chunk."""
+        rows = self._rows[flat]
+        if rows:
+            self._streams[flat].append(np.array(rows, dtype=OP_DTYPE))
+            self._rows[flat] = []
+
+    def stream_ops(self, flat: int) -> list:
+        """The ops GPM ``flat`` has emitted in the open kernel, as
+        freshly materialized :class:`~repro.core.types.MemOp` views."""
+        self._flush(flat)
+        chunks = self._streams[flat]
+        if not chunks:
+            return []
+        return list(BatchTrace(np.concatenate(chunks)).iter_ops())
 
     def emit(self, node: NodeId, op: OpType, region: Region,
              line_offset: int, cta: int = None, scope: Scope = Scope.CTA,
@@ -141,29 +163,62 @@ class GenContext:
             raise IndexError(
                 f"line offset {line_offset} outside region {region.name!r}"
             )
+        if address < 0:
+            raise ValueError("address must be non-negative")
+        flat = self._flat(node)
         if cta is None:
-            cta = self._flat(node)
+            cta = flat
         if size is None:
             size = self.line
-        self._streams[self._flat(node)].append(
-            MemOp(op, address, node, cta=cta, scope=scope, size=size)
+        elif size <= 0:
+            raise ValueError("size must be positive")
+        self._rows[flat].append(
+            (op, address, node.gpu, node.gpm, cta, scope, size)
         )
+
+    def _span(self, node: NodeId, op: OpType, region: Region, start: int,
+              count: int, stride: int, scope: Scope, size) -> None:
+        """``count`` ops of one kind over lines ``start + k * stride``."""
+        if count <= 0:
+            return
+        addresses = region.base + (
+            start + np.arange(count, dtype=np.int64) * stride) * self.line
+        bad = (addresses >= region.end) | (addresses < 0)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise IndexError(
+                f"line offset {start + k * stride} outside region "
+                f"{region.name!r}"
+            )
+        if size is None:
+            size = self.line
+        elif size <= 0:
+            raise ValueError("size must be positive")
+        flat = self._flat(node)
+        self._flush(flat)
+        chunk = np.empty(count, OP_DTYPE)
+        chunk["op"] = op
+        chunk["address"] = addresses
+        chunk["gpu"] = node.gpu
+        chunk["gpm"] = node.gpm
+        chunk["cta"] = flat
+        chunk["scope"] = scope
+        chunk["size"] = size
+        self._streams[flat].append(chunk)
 
     def read_span(self, node: NodeId, region: Region, start: int,
                   count: int, stride: int = 1, scope: Scope = Scope.CTA,
                   size: int = None) -> None:
         """Sequential (strided) loads over ``count`` lines."""
-        for k in range(count):
-            self.emit(node, OpType.LOAD, region, start + k * stride,
-                      scope=scope, size=size)
+        self._span(node, OpType.LOAD, region, start, count, stride, scope,
+                   size)
 
     def write_span(self, node: NodeId, region: Region, start: int,
                    count: int, stride: int = 1, scope: Scope = Scope.CTA,
                    size: int = None) -> None:
         """Sequential (strided) stores over ``count`` lines."""
-        for k in range(count):
-            self.emit(node, OpType.STORE, region, start + k * stride,
-                      scope=scope, size=size)
+        self._span(node, OpType.STORE, region, start, count, stride, scope,
+                   size)
 
     def random_lines(self, total_lines: int, count: int) -> np.ndarray:
         """Deterministic uniform line indices from the context's RNG."""
@@ -174,13 +229,21 @@ class GenContext:
     def end_kernel(self, boundary: bool = True) -> None:
         """Close the current kernel: interleave its per-GPM streams and
         (optionally) emit per-GPM kernel-boundary markers."""
-        phase = interleave(self._streams)
+        for flat in range(self.n_gpms):
+            self._flush(flat)
+        merged = np.concatenate([np.empty(0, OP_DTYPE)] + [
+            chunk for chunks in self._streams for chunk in chunks])
+        lengths = [sum(chunk.size for chunk in chunks)
+                   for chunks in self._streams]
+        self._phases.append(merged[interleave_order(lengths)])
         if boundary:
-            for node in self.nodes:
-                phase.append(
-                    MemOp(OpType.KERNEL_BOUNDARY, 0, node, scope=Scope.SYS)
-                )
-        self._phases.append(phase)
+            markers = np.zeros(self.n_gpms, OP_DTYPE)
+            markers["op"] = OpType.KERNEL_BOUNDARY
+            markers["gpu"] = [node.gpu for node in self.nodes]
+            markers["gpm"] = [node.gpm for node in self.nodes]
+            markers["scope"] = Scope.SYS
+            markers["size"] = 4
+            self._phases.append(markers)
         self._streams = self._fresh_streams()
         self.kernels_emitted += 1
 
@@ -210,14 +273,13 @@ class GenContext:
 
     def finish(self) -> Trace:
         """Seal any open kernel and assemble the final trace."""
-        if any(self._streams[i] for i in range(self.n_gpms)):
+        if any(self._streams) or any(self._rows):
             self.end_kernel(boundary=False)
-        ops: list = []
-        for phase in self._phases:
-            ops.extend(phase)
+        records = (np.concatenate(self._phases) if self._phases
+                   else np.empty(0, OP_DTYPE))
         return Trace(
             name=self.spec.abbrev,
-            ops=ops,
+            batch=BatchTrace(records),
             footprint_bytes=self.space.footprint,
             kernels=self.kernels_emitted,
             meta={

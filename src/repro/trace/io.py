@@ -10,7 +10,8 @@ a multi-million-op trace never has to be held twice in memory.
 
 Loading validates eagerly: header fields are type-checked, every op row
 is bounds-checked (valid op kind and scope, non-negative ids, positive
-size), and errors carry the offending line number — a malformed trace
+size, every field within its packed record width — see
+:data:`repro.trace.batch.FIELD_MAX`), and errors carry the offending line number — a malformed trace
 fails here with a :class:`TraceFormatError`, not hundreds of ops later
 with an ``IndexError`` deep inside the simulator.  Pass a
 :class:`~repro.config.SystemConfig` to additionally pin ``gpu``/``gpm``
@@ -25,6 +26,7 @@ from pathlib import Path
 from typing import Iterator, TextIO, Union
 
 from repro.core.types import MemOp, NodeId, OpType, Scope
+from repro.trace.batch import FIELD_MAX
 from repro.trace.stream import Trace
 
 FORMAT_NAME = "repro-trace"
@@ -68,6 +70,13 @@ def _decode_op(row, lineno: int, cfg=None) -> MemOp:
     if size <= 0:
         raise TraceFormatError(f"line {lineno}: size must be positive, "
                                f"got {size}")
+    for field_name, value in (("address", address), ("gpu", gpu),
+                              ("gpm", gpm), ("cta", cta), ("size", size)):
+        if value > FIELD_MAX[field_name]:
+            raise TraceFormatError(
+                f"line {lineno}: {field_name} {value} out of range for "
+                f"the packed op record (max {FIELD_MAX[field_name]})"
+            )
     if cfg is not None:
         if gpu >= cfg.num_gpus:
             raise TraceFormatError(

@@ -1,68 +1,107 @@
 """Trace containers.
 
-A :class:`Trace` is a replayable sequence of :class:`~repro.core.types.MemOp`
-plus metadata about the workload that produced it.  Traces model the
-machine-wide interleaving of all GPMs' memory operations: per-GPM
-streams are merged round-robin, which approximates the GPMs executing
-concurrently at equal rates (all micro-scheduling is abstracted by the
-timing engines anyway).
+A :class:`Trace` is a named, replayable op sequence plus metadata about
+the workload that produced it.  Traces model the machine-wide
+interleaving of all GPMs' memory operations: per-GPM streams are merged
+round-robin, which approximates the GPMs executing concurrently at
+equal rates (all micro-scheduling is abstracted by the timing engines
+anyway).
+
+The ops are stored once, as a :class:`~repro.trace.batch.BatchTrace`
+of packed records; ``len``/``[]``/iteration/:attr:`Trace.ops` present
+them as :class:`~repro.core.types.MemOp` views built on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from repro.core.types import MemOp, OpType
+import numpy as np
+
+from repro.core.types import MemOp, NodeId, OpType, Scope
+from repro.trace.batch import BatchTrace
 
 
-@dataclass
 class Trace:
-    """A named, replayable op sequence."""
+    """A named, replayable op sequence held as packed columns.
 
-    name: str
-    ops: list
-    footprint_bytes: int = 0
-    kernels: int = 0
-    meta: dict = field(default_factory=dict)
+    Build one from a list of :class:`MemOp` (``ops``) or from records
+    already packed (``batch``), not both.
+    """
+
+    __slots__ = ("name", "batch", "footprint_bytes", "kernels", "meta")
+
+    def __init__(self, name: str, ops: Sequence[MemOp] = None,
+                 footprint_bytes: int = 0, kernels: int = 0,
+                 meta: dict = None, *, batch: BatchTrace = None):
+        if (ops is None) == (batch is None):
+            raise TypeError("Trace needs exactly one of ops= or batch=")
+        self.name = name
+        self.batch = batch if batch is not None else \
+            BatchTrace.from_ops(list(ops))
+        self.footprint_bytes = footprint_bytes
+        self.kernels = kernels
+        self.meta = {} if meta is None else meta
 
     def __iter__(self) -> Iterator[MemOp]:
-        return iter(self.ops)
+        return self.batch.iter_ops()
 
     def __len__(self) -> int:
-        return len(self.ops)
+        return len(self.batch)
 
     def __getitem__(self, index):
-        return self.ops[index]
+        if isinstance(index, slice):
+            return [self.batch.op_at(i)
+                    for i in range(*index.indices(len(self)))]
+        n = len(self)
+        if not -n <= index < n:
+            raise IndexError("trace index out of range")
+        return self.batch.op_at(index)
+
+    @property
+    def ops(self) -> list:
+        """Every op as a freshly materialized :class:`MemOp` list."""
+        return list(self)
+
+    def _kind_count(self, *kinds: OpType) -> int:
+        return int(np.isin(self.batch.kind, [int(k) for k in kinds]).sum())
 
     @property
     def loads(self) -> int:
-        return sum(1 for op in self.ops if op.op == OpType.LOAD)
+        return self._kind_count(OpType.LOAD)
 
     @property
     def stores(self) -> int:
-        return sum(1 for op in self.ops if op.op == OpType.STORE)
+        return self._kind_count(OpType.STORE)
 
     @property
     def synchronizing_ops(self) -> int:
-        return sum(1 for op in self.ops if op.op.is_synchronizing)
+        return self._kind_count(*(k for k in OpType if k.is_synchronizing))
 
     def scoped_op_counts(self) -> dict:
-        """Histogram of (op type, scope) pairs."""
-        counts: dict = {}
-        for op in self.ops:
-            key = (op.op, op.scope)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+        """Histogram of (op type, scope) pairs, in first-appearance
+        order."""
+        pair = (self.batch.kind.astype(np.int64) * len(Scope)
+                + self.batch.scope)
+        keys, first, counts = np.unique(pair, return_index=True,
+                                        return_counts=True)
+        order = np.argsort(first, kind="stable")
+        return {
+            (OpType(int(keys[i]) // len(Scope)),
+             Scope(int(keys[i]) % len(Scope))): int(counts[i])
+            for i in order
+        }
 
     def nodes(self) -> set:
         """The set of GPMs that issue at least one op."""
-        return {op.node for op in self.ops}
+        pairs = np.unique(self.batch.gpu.astype(np.int64) * 256
+                          + self.batch.gpm)
+        return {NodeId(int(p) // 256, int(p) % 256) for p in pairs}
 
     def describe(self) -> str:
         """One-line summary: ops, mix, kernels, footprint."""
         return (
-            f"Trace {self.name!r}: {len(self.ops)} ops "
+            f"Trace {self.name!r}: {len(self)} ops "
             f"({self.loads} loads, {self.stores} stores, "
             f"{self.synchronizing_ops} sync), "
             f"{self.kernels} kernels, "
@@ -70,28 +109,25 @@ class Trace:
         )
 
 
-def interleave(streams: Sequence[Sequence[MemOp]],
-               chunk: int = 4) -> list:
-    """Merge per-GPM op streams round-robin, ``chunk`` ops at a time.
+def interleave_order(lengths: Sequence[int], chunk: int = 4) -> np.ndarray:
+    """Merge order for per-GPM op streams of ``lengths``, as positions
+    in their concatenation: round-robin, ``chunk`` ops at a time.
 
+    Round ``r`` takes ops ``[r*chunk, (r+1)*chunk)`` of each stream in
+    turn, so a stable sort on ``round * streams + stream`` is the merge.
     Round-robin at a small chunk granularity models GPMs progressing at
     similar rates while keeping each GPM's own program order intact
     (which the coherence protocols rely on).
     """
     if chunk < 1:
         raise ValueError("chunk must be >= 1")
-    merged: list = []
-    cursors = [0] * len(streams)
-    remaining = sum(len(s) for s in streams)
-    while remaining:
-        for i, stream in enumerate(streams):
-            take = min(chunk, len(stream) - cursors[i])
-            if take <= 0:
-                continue
-            merged.extend(stream[cursors[i]:cursors[i] + take])
-            cursors[i] += take
-            remaining -= take
-    return merged
+    lengths = np.asarray(lengths, dtype=np.int64)
+    total = int(lengths.sum())
+    stream = np.repeat(np.arange(lengths.size), lengths)
+    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    within = np.arange(total) - starts
+    return np.argsort((within // chunk) * lengths.size + stream,
+                      kind="stable")
 
 
 def merge_phases(phases: Iterable[list]) -> list:

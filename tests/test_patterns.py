@@ -100,10 +100,9 @@ class TestSharedRegion:
         plan = make_plan(ctx)
         region = _SharedRegion(ctx, "r5", plan, 1, placement="gpu:2")
         # The init kernel's first-touch stores come from GPU2 only.
-        stores = [op for op in ctx._streams[0:16] for op in op]
         touchers = {
             op.node.gpu
-            for stream in ctx._streams for op in stream
+            for flat in range(ctx.n_gpms) for op in ctx.stream_ops(flat)
             if op.op == OpType.STORE
             and region.region.contains(op.address)
         }
@@ -128,19 +127,20 @@ class TestColdStream:
         seen = set()
         for flat in range(4):
             for kernel in range(3):
-                stream = ctx._streams[flat]
-                before = len(stream)
+                before = len(ctx.stream_ops(flat))
                 cold.emit(ctx, ctx.nodes[flat], flat, kernel)
-                addrs = {op.address for op in stream[before:]}
+                addrs = {op.address
+                         for op in ctx.stream_ops(flat)[before:]}
                 assert addrs
                 assert not (addrs & seen)  # once-through, never reread
                 seen |= addrs
 
     def test_respects_budget(self, ctx):
         cold = _ColdStream(ctx, self._spec(0.1))
-        before = sum(len(s) for s in ctx._streams)
+        before = sum(len(ctx.stream_ops(f)) for f in range(ctx.n_gpms))
         cold.emit(ctx, ctx.nodes[0], 0, 0)
-        emitted = sum(len(s) for s in ctx._streams) - before
+        emitted = sum(len(ctx.stream_ops(f))
+                      for f in range(ctx.n_gpms)) - before
         assert emitted <= cold.reads_per_kernel
 
 

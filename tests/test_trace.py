@@ -5,16 +5,24 @@ import pytest
 from repro.config import SystemConfig
 from repro.core.types import MemOp, NodeId, OpType, Scope
 from repro.trace.generator import PATTERNS, WorkloadSpec, partition
-from repro.trace.stream import Trace, interleave, merge_phases
+from repro.trace.stream import Trace, interleave_order, merge_phases
 from repro.trace.workloads import FIGURE_ORDER, WORKLOADS, get_workload
 from tests.conftest import ld, st
+
+
+def _interleave(streams, chunk):
+    """Merge op streams by :func:`interleave_order` over their
+    concatenation."""
+    flat = [op for stream in streams for op in stream]
+    order = interleave_order([len(s) for s in streams], chunk)
+    return [flat[i] for i in order.tolist()]
 
 
 class TestInterleave:
     def test_preserves_per_stream_order(self):
         s1 = [ld(NodeId(0, 0), k * 128) for k in range(10)]
         s2 = [ld(NodeId(0, 1), k * 128) for k in range(7)]
-        merged = interleave([s1, s2], chunk=3)
+        merged = _interleave([s1, s2], chunk=3)
         assert [op for op in merged if op.node == NodeId(0, 0)] == s1
         assert [op for op in merged if op.node == NodeId(0, 1)] == s2
         assert len(merged) == 17
@@ -22,12 +30,12 @@ class TestInterleave:
     def test_round_robin_chunks(self):
         s1 = [ld(NodeId(0, 0), 0)] * 4
         s2 = [ld(NodeId(0, 1), 0)] * 4
-        merged = interleave([s1, s2], chunk=2)
+        merged = _interleave([s1, s2], chunk=2)
         assert [op.node.gpm for op in merged] == [0, 0, 1, 1, 0, 0, 1, 1]
 
     def test_invalid_chunk(self):
         with pytest.raises(ValueError):
-            interleave([[]], chunk=0)
+            interleave_order([0], chunk=0)
 
     def test_merge_phases(self):
         p1 = [ld(NodeId(0, 0), 0)]
@@ -44,7 +52,7 @@ class TestTrace:
         assert trace.stores == 1
         assert trace.synchronizing_ops == 1
         assert len(trace) == 3
-        assert trace[0] is ops[0]
+        assert trace[0] == ops[0]
         assert "1 kernels" in trace.describe()
 
     def test_scoped_op_counts(self):

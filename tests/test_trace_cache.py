@@ -121,6 +121,30 @@ class TestCorruption:
         with pytest.warns(RuntimeWarning, match="magic"):
             assert cache.load("CoMD", CFG, 1, 0.05) is None
 
+    @pytest.mark.parametrize("field, offset, value", [
+        ("kind", 0, 9), ("scope", 13, 7), ("size", 14, 0)])
+    def test_invalid_record_with_valid_crc_warns_and_misses(
+            self, tmp_path, field, offset, value):
+        """A record the CRC vouches for is still checked field by field:
+        an unknown kind or scope, or a zero size, is a miss."""
+        import zlib
+
+        cache, path = self._stored(tmp_path)
+        raw = bytearray(path.read_bytes())
+        hlen = struct.unpack_from("<4sHI", raw)[2]
+        start = struct.calcsize("<4sHI") + hlen
+        victim = start + 5 * 18  # the sixth op record
+        if field == "size":
+            struct.pack_into("<I", raw, victim + offset, value)
+        else:
+            raw[victim + offset] = value
+        struct.pack_into("<I", raw, len(raw) - 4,
+                         zlib.crc32(bytes(raw[start:-4])))
+        path.write_bytes(bytes(raw))
+        with pytest.warns(RuntimeWarning, match="op 5: invalid"):
+            assert cache.load("CoMD", CFG, 1, 0.05) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+
     def test_corrupt_file_is_regenerated_through(self, tmp_path):
         cache, path = self._stored(tmp_path)
         path.write_bytes(b"garbage")

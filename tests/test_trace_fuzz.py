@@ -122,6 +122,24 @@ class TestMalformedRows:
         row[6] = 0
         self._expect(row, "size must be positive")
 
+    @pytest.mark.parametrize("index,field_name,value", [
+        (1, "address", 2**64),
+        (2, "gpu", 2**8),
+        (3, "gpm", 2**8),
+        (4, "cta", 2**16),
+        (6, "size", 2**32),
+    ])
+    def test_fields_wider_than_packed_record(self, index, field_name,
+                                             value):
+        """A value the packed record cannot hold is a format error, not
+        an overflow (or a silent wrap) when the trace is packed."""
+        _, row = _valid_doc()
+        row[index] = value - 1  # the widest value that fits still loads
+        header, _ = _valid_doc()
+        assert len(_load(_doc_text(header, row))) == 1
+        row[index] = value
+        self._expect(row, f"{field_name} {value} out of range")
+
     def test_topology_bounds_require_cfg(self):
         _, row = _valid_doc()
         row[2] = CFG.num_gpus  # one past the end
@@ -161,3 +179,26 @@ class TestMalformedHeaders:
     def test_header_is_not_an_object(self):
         with pytest.raises(TraceFormatError, match="not a repro trace"):
             _load("[1, 2, 3]\n")
+
+
+class TestPackedFieldWidths:
+    @pytest.mark.parametrize("kwargs,field_name", [
+        ({"address": 2**64}, "address"),
+        ({"node": NodeId(2**8, 0)}, "gpu"),
+        ({"node": NodeId(0, 2**8)}, "gpm"),
+        ({"cta": 2**16}, "cta"),
+        ({"cta": -1}, "cta"),
+        ({"size": 2**32}, "size"),
+    ])
+    def test_hand_built_op_too_wide_is_rejected(self, kwargs, field_name):
+        """Packing a hand-built op list range-checks every field rather
+        than relying on numpy's cast (which raises ``OverflowError`` or
+        wraps, depending on the numpy version)."""
+        fields = {"op": OpType.LOAD, "address": 4096,
+                  "node": NodeId(0, 0), "cta": 0, "scope": Scope.CTA,
+                  "size": 128}
+        fields.update(kwargs)
+        ok = MemOp(OpType.LOAD, 0, NodeId(0, 0))
+        with pytest.raises(ValueError,
+                           match=f"op 1: {field_name} .* does not fit"):
+            Trace(name="wide", ops=[ok, MemOp(**fields)])

@@ -203,7 +203,7 @@ class TestBatchDecode:
         cache = TraceCache(tmp_path)
         cache.store("t", grid_cfg, 1, 1.0, trace)
         loaded = cache.load("t", grid_cfg, 1, 1.0)
-        batch = getattr(loaded, "_batch", None)
+        batch = loaded.batch
         assert batch is not None and len(batch) == len(ops)
         # as_batch must reuse the attached columns, not rebuild them.
         assert as_batch(loaded) is batch

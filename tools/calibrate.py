@@ -63,7 +63,7 @@ def main():
     for name in names:
         trace = WORKLOADS[name].generate(cfg, seed=args.seed,
                                          ops_scale=args.ops_scale)
-        results = compare(list(trace), cfg, ["noremote"] + protos,
+        results = compare(trace, cfg, ["noremote"] + protos,
                           workload_name=name)
         sp = speedups(results)
         for p in protos:

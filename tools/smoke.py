@@ -44,17 +44,17 @@ def main() -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     ).parse_args()
     cfg = SystemConfig.paper_scaled(1 / 64)
-    trace = list(WORKLOADS["RNN_FW"].generate(cfg, seed=1, ops_scale=0.1))
+    trace = WORKLOADS["RNN_FW"].generate(cfg, seed=1, ops_scale=0.1)
     print(f"smoke: {len(trace)} ops on {cfg.num_gpus}x"
           f"{cfg.gpms_per_gpu} platform")
 
     # 1+2: sanitized run — silent, timing-neutral, bounded overhead.
     t0 = time.perf_counter()
-    base = simulate(list(trace), cfg, "hmg")
+    base = simulate(trace, cfg, "hmg")
     base_s = time.perf_counter() - t0
     san = CoherenceSanitizer(collect=True)
     t0 = time.perf_counter()
-    checked = simulate(list(trace), cfg, "hmg", sanitizer=san)
+    checked = simulate(trace, cfg, "hmg", sanitizer=san)
     san_s = time.perf_counter() - t0
     assert checked.cycles == base.cycles, "sanitizer changed timing"
     assert not san.violations, san.violations
@@ -66,8 +66,8 @@ def main() -> int:
     # lossy recovery counters.
     for plan_name in ("none", "degraded", "flaky", "lossy"):
         plan = make_fault_plan(plan_name, seed=1)
-        tp = simulate(list(trace), cfg, "hmg", fault_plan=plan)
-        det = simulate(list(trace), cfg, "hmg", engine="detailed",
+        tp = simulate(trace, cfg, "hmg", fault_plan=plan)
+        det = simulate(trace, cfg, "hmg", engine="detailed",
                        fault_plan=plan)
         print(f"smoke: plan {plan_name:8s} throughput {tp.cycles:10.1f}cy "
               f"detailed {det.cycles:10.1f}cy")
@@ -78,9 +78,9 @@ def main() -> int:
                     "lossy plan produced no recovery counters"
             print(f"smoke: lossy recovery detailed "
                   f"{det.degradation.as_dict()}")
-    a = simulate(list(trace), cfg, "hmg", engine="detailed",
+    a = simulate(trace, cfg, "hmg", engine="detailed",
                  fault_plan=make_fault_plan("flaky", seed=9))
-    b = simulate(list(trace), cfg, "hmg", engine="detailed",
+    b = simulate(trace, cfg, "hmg", engine="detailed",
                  fault_plan=make_fault_plan("flaky", seed=9))
     assert (a.cycles, a.link_bytes) == (b.cycles, b.link_bytes), \
         "fault replay not deterministic"
