@@ -24,6 +24,13 @@ _FIB = 0x9E3779B97F4A7C15
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
+def narrow(values: np.ndarray, max_value: int) -> np.ndarray:
+    """``values`` (all in ``0..max_value``) in the smallest unsigned
+    dtype that holds ``max_value``.  Arithmetic on the result stays in
+    that dtype under numpy 2, so cast back before computing with it."""
+    return values.astype(np.min_scalar_type(max_value))
+
+
 def lines_of(addresses: np.ndarray, line_bits: int) -> np.ndarray:
     """Byte addresses → cache line indices (int64)."""
     return (addresses >> np.uint64(line_bits)).astype(np.int64)

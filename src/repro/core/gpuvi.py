@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from repro.core.directory import DirectoryEntry, Sharer
 from repro.core.nhcc import NHCCProtocol
-from repro.core.protocol import AccessOutcome
+from repro.core.protocol import EXPOSED, AccessOutcome
 from repro.core.types import MemOp, MsgType, NodeId
 
 
@@ -74,19 +74,28 @@ class GPUVIProtocol(NHCCProtocol):
     # ------------------------------------------------------------------
 
     def _store(self, line: int, node: NodeId, flat: int, slot: int,
-               size: int) -> AccessOutcome:
+               s1: int, s2: int, size: int) -> int:
         self._pending_ack_latency = 0.0
-        out = super()._store(line, node, flat, slot, size)
+        super()._store(line, node, flat, slot, s1, s2, size)
         ack = self._take_ack_latency()
         if ack:
             # Multi-copy-atomicity: the write completes only after all
-            # acks arrive.  Only the acknowledgment wait is exposed —
-            # the write-through itself remains fire-and-forget — and
-            # the transient-state machinery hides most of it.
-            hidden = ack / self.cfg.timing.mca_transient_hiding
-            return AccessOutcome(out.version, hidden, exposed=True,
-                                 hit_level=out.hit_level)
-        return out
+            # acks arrive.  The ack round trip (a whole number of
+            # cycles) rides in the code above the EXPOSED marker.
+            return int(ack) << 3 | EXPOSED
+        return 0
+
+    def exposed_latency(self, code: int) -> float:
+        # Only the acknowledgment wait is exposed — the write-through
+        # itself remains fire-and-forget — and the transient-state
+        # machinery hides most of it.
+        return (code >> 3) / self.cfg.timing.mca_transient_hiding
+
+    def _store_outcome(self, code: int, line: int,
+                       node: NodeId) -> AccessOutcome:
+        if code & 7 == EXPOSED:
+            return AccessOutcome(0, self.exposed_latency(code), exposed=True)
+        return super()._store_outcome(code, line, node)
 
     def _atomic(self, op: MemOp) -> AccessOutcome:
         self._pending_ack_latency = 0.0

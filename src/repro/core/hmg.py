@@ -15,8 +15,20 @@ requesting GPM's identity.
 from __future__ import annotations
 
 from repro.core.directory import DirectoryEntry, Sharer
-from repro.core.protocol import AccessOutcome, CoherenceProtocol
+from repro.core.protocol import (
+    DRAM,
+    GPU_HOME,
+    L1,
+    LOCAL_L2,
+    REMOTE_DRAM,
+    SYS_HOME,
+    AccessOutcome,
+    CoherenceProtocol,
+)
 from repro.core.types import MemOp, MsgType, NodeId, Scope
+
+_CTA = Scope.CTA
+_SYS = Scope.SYS
 
 
 class HMGProtocol(CoherenceProtocol):
@@ -25,6 +37,14 @@ class HMGProtocol(CoherenceProtocol):
     name = "hmg"
     label = "HMG Coherence"
     has_directory = True
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Sharer ids, built once: the load and store paths add one per
+        # directory update.
+        self._gpm_sharers = [Sharer.gpm(i)
+                             for i in range(self.cfg.gpms_per_gpu)]
+        self._gpu_sharers = [Sharer.gpu(i) for i in range(self.cfg.num_gpus)]
 
     # ------------------------------------------------------------------
     # Invalidation machinery
@@ -98,142 +118,130 @@ class HMGProtocol(CoherenceProtocol):
         return entry
 
     # ------------------------------------------------------------------
-    # Routing helpers
-    # ------------------------------------------------------------------
-
-    def _homes(self, line: int, node: NodeId):
-        """(gpu_home, sys_home) for a line as seen from ``node``.
-
-        Within the owning GPU the two coincide: the GPU home node of
-        the owning GPU is the page's GPM itself.
-        """
-        return self.homes(line, node)
-
-    def _may_hit(self, cache_node: NodeId, scope: Scope, ghome: NodeId,
-                 syshome: NodeId) -> bool:
-        """Scope-dependent hit permission (Section V-B, "Loads")."""
-        if scope == Scope.CTA:
-            return True
-        if scope == Scope.GPU:
-            return cache_node in (ghome, syshome)
-        return cache_node == syshome
-
-    # ------------------------------------------------------------------
     # Loads
     # ------------------------------------------------------------------
 
     def _load(self, line: int, node: NodeId, flat: int, slot: int,
-              scope: Scope) -> AccessOutcome:
-        ghome, syshome = self.homes(line, node)
-        lat = self._lat
-        latency = self._l1_hit_lat
+              s1: int, s2: int, scope: Scope) -> int:
+        try:
+            gflat, sflat = self._homes_memo[line * self._num_gpus + node.gpu]
+        except KeyError:
+            gflat, sflat = self._home_flats(line, node)
 
-        if scope is Scope.CTA:
-            hit = self._l1_slots[slot].lookup(line)
-            if hit is not None:
-                return AccessOutcome(hit.version, latency, hit_level="l1")
+        if scope is _CTA:
+            version = self._l1_slots[slot].probe(line, s1)
+            if version >= 0:
+                return version << 3 | L1
 
-        local = self.l2[flat]
-        self.l2_bytes_per_gpm[flat] += self._line_size
-        latency += self._l2_hit_lat
-        if self._may_hit(node, scope, ghome, syshome):
-            entry = local.lookup(line)
+        ls = self._line_size
+        l2 = self.l2
+        l2_bytes = self.l2_bytes_per_gpm
+        local = l2[flat]
+        l2_bytes[flat] += ls
+        # Scope-dependent hit permission (Section V-B, "Loads"): .cta
+        # hits anywhere, .gpu at the GPU or system home, .sys only at
+        # the system home.
+        if (scope is _CTA or flat == sflat
+                or (scope is not _SYS and flat == gflat)):
+            version = local.probe(line, s2)
+            if version >= 0:
+                self._l1_slots[slot].fill(line, s1,
+                                          version << 2 | (flat != sflat))
+                if self._tracing:
+                    self.tracer.fill("l1", node, line)
+                return version << 3 | LOCAL_L2
         else:
-            entry = None
             local.stats.misses += 1
-        if entry is not None:
-            self._l1_fill(slot, node, line, entry.version,
-                          remote=node != syshome)
-            level = ("sys_home" if node == syshome
-                     else "gpu_home" if node == ghome else "local_l2")
-            return AccessOutcome(entry.version, latency, hit_level=level)
 
-        if node == syshome:
+        if flat == sflat:
             # Local miss at the system home itself: straight to DRAM.
-            version = self.dram[self.flat(syshome)].read(line)
-            latency += lat.dram_access
-            victim = local.fill(line, version, remote=False)
-            self._handle_l2_victim(node, victim)
-            self._l1_fill(slot, node, line, version, remote=False)
-            return AccessOutcome(version, latency, hit_level="dram")
+            version = self.dram[sflat].read(line)
+            victim = local.fill(line, s2, version << 2)
+            if victim is not None:
+                self._handle_l2_victim(node, victim)
+            self._l1_slots[slot].fill(line, s1, version << 2)
+            if self._tracing:
+                self.tracer.fill("l1", node, line)
+            return version << 3 | DRAM
 
         # Miss: climb the hierarchy — GPU home first (if we are not it).
-        version = None
-        level = "dram"
-        sector = self.amap.sector_of_line(line)
-        if node != ghome:
+        nodes = self._nodes
+        ghome = nodes[gflat]
+        version = -1
+        where = REMOTE_DRAM
+        sector = line >> self._sector_bits
+        if flat != gflat:
             self.send(MsgType.LOAD_REQ, node, ghome, line)
-            latency += 2 * self.hop_latency(node, ghome)
-            self._l2_touch(ghome, self._line_size)
-            latency += self._l2_hit_lat
-            ghome_l2 = self.l2[self.flat(ghome)]
-            if self._may_hit(ghome, scope, ghome, syshome):
-                gentry = ghome_l2.lookup(line)
+            l2_bytes[gflat] += ls
+            gl2 = l2[gflat]
+            if scope is not _SYS or gflat == sflat:
+                version = gl2.probe(line, s2)
+                if version >= 0:
+                    where = GPU_HOME
             else:
-                gentry = None
-                ghome_l2.stats.misses += 1
-            if gentry is not None:
-                version = gentry.version
-                level = "gpu_home" if ghome != syshome else "sys_home"
+                gl2.stats.misses += 1
             # The GPU home tracks the requesting GPM either way — on a
             # forwarded miss it will cache the response too.
             dentry = self._dir_allocate(ghome, sector)
-            dentry.add(Sharer.gpm(node.gpm))
+            dentry.sharers.add(self._gpm_sharers[node.gpm])
 
-        if version is None and ghome != syshome:
+        if version < 0 and gflat != sflat:
             # Forward to the system home; only the GPU id crosses.
+            syshome = nodes[sflat]
             self.stats.remote_gpu_loads += 1
-            src = ghome
-            self.send(MsgType.LOAD_REQ, src, syshome, line)
-            latency += 2 * self.hop_latency(src, syshome)
-            self._l2_touch(syshome, self._line_size)
-            latency += self._l2_hit_lat
-            sentry = self.l2[self.flat(syshome)].lookup(line)
-            if sentry is not None:
-                version = sentry.version
-                level = "sys_home"
+            self.send(MsgType.LOAD_REQ, ghome, syshome, line)
+            l2_bytes[sflat] += ls
+            sl2 = l2[sflat]
+            version = sl2.probe(line, s2)
+            if version >= 0:
+                where = SYS_HOME
             else:
-                version = self.dram[self.flat(syshome)].read(line)
-                latency += lat.dram_access
-                svictim = self.l2[self.flat(syshome)].fill(
-                    line, version, remote=False
-                )
-                self._handle_l2_victim(syshome, svictim)
+                version = self.dram[sflat].read(line)
+                victim = sl2.fill(line, s2, version << 2)
+                if victim is not None:
+                    self._handle_l2_victim(syshome, victim)
             dentry = self._dir_allocate(syshome, sector)
-            dentry.add(Sharer.gpu(node.gpu))
-            self.send(MsgType.DATA_RESP, syshome, src, line)
+            dentry.sharers.add(self._gpu_sharers[node.gpu])
+            self.send(MsgType.DATA_RESP, syshome, ghome, line)
             # Response fills the GPU home on its way back (Fig 6b).
-            if node != ghome:
-                gvictim = self.l2[self.flat(ghome)].fill(
-                    line, version, remote=True
-                )
-                self._handle_l2_victim(ghome, gvictim)
-                self._l2_touch(ghome, self._line_size)
-        elif version is None:
+            if flat != gflat:
+                victim = l2[gflat].fill(line, s2, version << 2 | 1)
+                if victim is not None:
+                    self._handle_l2_victim(ghome, victim)
+                l2_bytes[gflat] += ls
+        elif version < 0:
             # Owning GPU, requester is not the home: the home L2 missed,
             # so the home fetches from its DRAM and keeps a copy.
-            version = self.dram[self.flat(syshome)].read(line)
-            latency += lat.dram_access
-            svictim = self.l2[self.flat(syshome)].fill(
-                line, version, remote=False
-            )
-            self._handle_l2_victim(syshome, svictim)
+            version = self.dram[sflat].read(line)
+            victim = l2[sflat].fill(line, s2, version << 2)
+            if victim is not None:
+                self._handle_l2_victim(nodes[sflat], victim)
 
-        if node != ghome:
+        if flat != gflat:
             self.send(MsgType.DATA_RESP, ghome, node, line)
 
-        victim = local.fill(line, version, remote=True)
-        self._handle_l2_victim(node, victim)
-        self._l1_fill(slot, node, line, version, remote=True)
-        return AccessOutcome(version, latency, hit_level=level)
+        victim = local.fill(line, s2, version << 2 | 1)
+        if victim is not None:
+            self._handle_l2_victim(node, victim)
+        self._l1_slots[slot].fill(line, s1, version << 2 | 1)
+        if self._tracing:
+            self.tracer.fill("l1", node, line)
+        return version << 3 | where
+
+    def _load_outcome(self, code: int, line: int, node: NodeId,
+                      scope: Scope) -> AccessOutcome:
+        ghome, syshome = self.homes(line, node)
+        return self._hier_load_outcome(
+            code, line, node,
+            local_level=("sys_home" if node == syshome
+                         else "gpu_home" if node == ghome else "local_l2"))
 
     # ------------------------------------------------------------------
     # Stores and atomics
     # ------------------------------------------------------------------
 
     def _store_at_gpu_home(self, requester: NodeId, ghome: NodeId,
-                           sector: int, is_sys_home: bool,
-                           version: int) -> None:
+                           sector: int) -> None:
         """Apply the Table I transition at a GPU home node."""
         directory = self.dirs[self.flat(ghome)]
         if requester == ghome:
@@ -247,9 +255,9 @@ class HMGProtocol(CoherenceProtocol):
             return
         # Remote store: add sender, inv other sharers, stay V.
         if requester.gpu == ghome.gpu:
-            me = Sharer.gpm(requester.gpm)
+            me = self._gpm_sharers[requester.gpm]
         else:
-            me = Sharer.gpu(requester.gpu)
+            me = self._gpu_sharers[requester.gpu]
         entry = self._dir_allocate(ghome, sector)
         if entry.others(me):
             self.stats.stores_on_shared += 1
@@ -257,55 +265,59 @@ class HMGProtocol(CoherenceProtocol):
         entry.sharers = {me}
 
     def _store(self, line: int, node: NodeId, flat: int, slot: int,
-               size: int) -> AccessOutcome:
-        ghome, syshome = self.homes(line, node)
-        version = self._new_version()
-        payload = min(size, self._line_size)
-        latency = self._l1_hit_lat
+               s1: int, s2: int, size: int) -> int:
+        try:
+            gflat, sflat = self._homes_memo[line * self._num_gpus + node.gpu]
+        except KeyError:
+            gflat, sflat = self._home_flats(line, node)
+        version = self._next_version
+        self._next_version = version + 1
+        payload = size if size < self._line_size else self._line_size
 
-        self._l1_store(slot, line, version, remote=node != syshome)
-        local = self.l2[flat]
+        remote = flat != sflat
+        self._l1_slots[slot].fill(line, s1, version << 2 | remote)
         self.l2_bytes_per_gpm[flat] += payload
-        victim = local.write(line, version, remote=node != syshome)
-        self._handle_l2_victim(node, victim)
-        latency += self._l2_hit_lat
-        sector = self.amap.sector_of_line(line)
+        victim = self.l2[flat].fill(line, s2, version << 2 | remote)
+        if victim is not None:
+            self._handle_l2_victim(node, victim)
+        sector = line >> self._sector_bits
+        nodes = self._nodes
+        ghome = nodes[gflat]
 
         # Layer 1: the GPU home node of the issuing GPU.
-        if node != ghome:
+        if flat != gflat:
             self.send(MsgType.STORE_REQ, node, ghome, line,
                       payload=payload)
-            latency += self.hop_latency(node, ghome)
-            gl2 = self.l2[self.flat(ghome)]
-            self._l2_touch(ghome, payload)
-            gvictim = gl2.write(line, version, remote=ghome != syshome)
-            self._handle_l2_victim(ghome, gvictim)
-        self._store_at_gpu_home(node, ghome, sector,
-                                is_sys_home=ghome == syshome,
-                                version=version)
+            self.l2_bytes_per_gpm[gflat] += payload
+            victim = self.l2[gflat].fill(
+                line, s2, version << 2 | (gflat != sflat))
+            if victim is not None:
+                self._handle_l2_victim(ghome, victim)
+        self._store_at_gpu_home(node, ghome, sector)
 
         # Layer 2: the system home node, if it lives on another GPU.
-        if ghome != syshome:
+        if gflat != sflat:
+            syshome = nodes[sflat]
             self.send(MsgType.STORE_REQ, ghome, syshome, line,
                       payload=payload)
-            latency += self.hop_latency(ghome, syshome)
-            self._home_store(syshome, line, version, payload)
+            self._home_store(sflat, line, s2, version, payload)
             # Only the GPU identifier crosses the inter-GPU network.
-            self._store_at_gpu_home(node, syshome, sector,
-                                    is_sys_home=True, version=version)
+            self._store_at_gpu_home(node, syshome, sector)
         else:
             # The GPU home is the system home: its copy is the
             # authoritative one (dirty; written back on eviction).
-            target = self.l2[self.flat(syshome)].peek(line)
-            if target is not None:
-                target.dirty = True
-        return AccessOutcome(0, latency)
+            self.l2[sflat].mark_dirty(line, s2)
+        return 0
+
+    def _store_outcome(self, code: int, line: int,
+                       node: NodeId) -> AccessOutcome:
+        return self._hier_store_outcome(line, node)
 
     def _atomic(self, op: MemOp) -> AccessOutcome:
-        line, _, _, slot = self.locate(op)
+        line, _, _, slot, s1, _ = self._decode(op)
         if op.scope == Scope.CTA:
             version = self._new_version()
-            self._l1_store(slot, line, version, remote=False)
+            self._l1_slots[slot].fill(line, s1, version << 2)
             return AccessOutcome(version, self._l1_hit_lat,
                                  exposed=True, hit_level="l1")
         ghome, syshome = self.homes(line, op.node)

@@ -13,7 +13,16 @@ exactly this definition.
 
 from __future__ import annotations
 
-from repro.core.protocol import AccessOutcome, CoherenceProtocol
+from repro.core.protocol import (
+    DRAM,
+    GPU_HOME,
+    L1,
+    LOCAL_L2,
+    REMOTE_DRAM,
+    SYS_HOME,
+    AccessOutcome,
+    CoherenceProtocol,
+)
 from repro.core.types import MemOp, MsgType, NodeId, Scope
 
 
@@ -35,9 +44,6 @@ class IdealProtocol(CoherenceProtocol):
         # profile at scale.
         self._copies: dict[int, set] = {}
 
-    def _homes(self, line: int, node: NodeId):
-        return self.homes(line, node)
-
     def _track(self, cache, line: int) -> None:
         copies = self._copies.get(line)
         if copies is None:
@@ -45,20 +51,15 @@ class IdealProtocol(CoherenceProtocol):
         else:
             copies.add(cache)
 
-    def _l1_fill(self, slot, node, line, version, remote):
+    def _l1_fill(self, slot: int, s1: int, line: int, state: int) -> None:
         sl = self._l1_slots[slot]
-        sl.fill(line, version, remote=remote)
+        sl.fill(line, s1, state)
         self._track(sl, line)
 
-    def _l1_store(self, slot, line, version, remote):
-        sl = self._l1_slots[slot]
-        sl.write(line, version, dirty=False, remote=remote)
-        self._track(sl, line)
-
-    def _home_store(self, home: NodeId, line: int, version: int,
+    def _home_store(self, hflat: int, line: int, s2: int, version: int,
                     payload: int) -> None:
-        super()._home_store(home, line, version, payload)
-        self._track(self.l2[self.flat(home)], line)
+        super()._home_store(hflat, line, s2, version, payload)
+        self._track(self.l2[hflat], line)
 
     def _magic_invalidate(self, line: int) -> None:
         """Drop every cached copy of a line, for free: no messages, no
@@ -70,117 +71,135 @@ class IdealProtocol(CoherenceProtocol):
                 cache.invalidate(line)
 
     def _load(self, line: int, node: NodeId, flat: int, slot: int,
-              scope: Scope) -> AccessOutcome:
-        ghome, syshome = self.homes(line, node)
-        lat = self._lat
-        latency = self._l1_hit_lat
+              s1: int, s2: int, scope: Scope) -> int:
+        try:
+            gflat, sflat = self._homes_memo[line * self._num_gpus + node.gpu]
+        except KeyError:
+            gflat, sflat = self._home_flats(line, node)
 
         # Scope never forces a miss in the idealized model.
-        hit = self._l1_slots[slot].lookup(line)
-        if hit is not None:
-            return AccessOutcome(hit.version, latency, hit_level="l1")
+        version = self._l1_slots[slot].probe(line, s1)
+        if version >= 0:
+            return version << 3 | L1
 
-        local = self.l2[flat]
-        self.l2_bytes_per_gpm[flat] += self._line_size
-        latency += self._l2_hit_lat
-        entry = local.lookup(line)
-        if entry is not None:
-            self._l1_fill(slot, node, line, entry.version,
-                          remote=node != syshome)
-            return AccessOutcome(entry.version, latency, hit_level="local_l2")
+        ls = self._line_size
+        l2 = self.l2
+        l2_bytes = self.l2_bytes_per_gpm
+        track = self._track
+        local = l2[flat]
+        l2_bytes[flat] += ls
+        version = local.probe(line, s2)
+        if version >= 0:
+            self._l1_fill(slot, s1, line,
+                          version << 2 | (flat != sflat))
+            return version << 3 | LOCAL_L2
 
-        if node == syshome:
-            version = self.dram[self.flat(syshome)].read(line)
-            latency += lat.dram_access
-            victim = local.fill(line, version, remote=False)
-            self._track(local, line)
-            self._handle_l2_victim(node, victim)
-            self._l1_fill(slot, node, line, version, remote=False)
-            return AccessOutcome(version, latency, hit_level="dram")
+        if flat == sflat:
+            version = self.dram[sflat].read(line)
+            victim = local.fill(line, s2, version << 2)
+            track(local, line)
+            if victim is not None:
+                self._handle_l2_victim(node, victim)
+            self._l1_fill(slot, s1, line, version << 2)
+            return version << 3 | DRAM
 
-        version = None
-        level = "dram"
-        if node != ghome:
+        nodes = self._nodes
+        ghome = nodes[gflat]
+        version = -1
+        where = REMOTE_DRAM
+        if flat != gflat:
             self.send(MsgType.LOAD_REQ, node, ghome, line)
-            latency += 2 * self.hop_latency(node, ghome)
-            self._l2_touch(ghome, self._line_size)
-            latency += self._l2_hit_lat
-            gentry = self.l2[self.flat(ghome)].lookup(line)
-            if gentry is not None:
-                version = gentry.version
-                level = "gpu_home" if ghome != syshome else "sys_home"
+            l2_bytes[gflat] += ls
+            version = l2[gflat].probe(line, s2)
+            if version >= 0:
+                where = GPU_HOME
 
-        if version is None and ghome != syshome:
+        if version < 0 and gflat != sflat:
+            syshome = nodes[sflat]
             self.stats.remote_gpu_loads += 1
             self.send(MsgType.LOAD_REQ, ghome, syshome, line)
-            latency += 2 * self.hop_latency(ghome, syshome)
-            self._l2_touch(syshome, self._line_size)
-            latency += self._l2_hit_lat
-            sentry = self.l2[self.flat(syshome)].lookup(line)
-            if sentry is not None:
-                version = sentry.version
-                level = "sys_home"
+            l2_bytes[sflat] += ls
+            sl2 = l2[sflat]
+            version = sl2.probe(line, s2)
+            if version >= 0:
+                where = SYS_HOME
             else:
-                version = self.dram[self.flat(syshome)].read(line)
-                latency += lat.dram_access
-                sl2 = self.l2[self.flat(syshome)]
-                svictim = sl2.fill(line, version, remote=False)
-                self._track(sl2, line)
-                self._handle_l2_victim(syshome, svictim)
+                version = self.dram[sflat].read(line)
+                victim = sl2.fill(line, s2, version << 2)
+                track(sl2, line)
+                if victim is not None:
+                    self._handle_l2_victim(syshome, victim)
             self.send(MsgType.DATA_RESP, syshome, ghome, line)
-            if node != ghome:
-                gl2 = self.l2[self.flat(ghome)]
-                gvictim = gl2.fill(line, version, remote=True)
-                self._track(gl2, line)
-                self._handle_l2_victim(ghome, gvictim)
-                self._l2_touch(ghome, self._line_size)
-        elif version is None:
-            version = self.dram[self.flat(syshome)].read(line)
-            latency += lat.dram_access
-            sl2 = self.l2[self.flat(syshome)]
-            svictim = sl2.fill(line, version, remote=False)
-            self._track(sl2, line)
-            self._handle_l2_victim(syshome, svictim)
+            if flat != gflat:
+                gl2 = l2[gflat]
+                victim = gl2.fill(line, s2, version << 2 | 1)
+                track(gl2, line)
+                if victim is not None:
+                    self._handle_l2_victim(ghome, victim)
+                l2_bytes[gflat] += ls
+        elif version < 0:
+            version = self.dram[sflat].read(line)
+            sl2 = l2[sflat]
+            victim = sl2.fill(line, s2, version << 2)
+            track(sl2, line)
+            if victim is not None:
+                self._handle_l2_victim(nodes[sflat], victim)
 
-        if node != ghome:
+        if flat != gflat:
             self.send(MsgType.DATA_RESP, ghome, node, line)
-        victim = local.fill(line, version, remote=True)
-        self._track(local, line)
-        self._handle_l2_victim(node, victim)
-        self._l1_fill(slot, node, line, version, remote=True)
-        return AccessOutcome(version, latency, hit_level=level)
+        victim = local.fill(line, s2, version << 2 | 1)
+        track(local, line)
+        if victim is not None:
+            self._handle_l2_victim(node, victim)
+        self._l1_fill(slot, s1, line, version << 2 | 1)
+        return version << 3 | where
 
     def _store(self, line: int, node: NodeId, flat: int, slot: int,
-               size: int) -> AccessOutcome:
-        ghome, syshome = self.homes(line, node)
-        version = self._new_version()
-        payload = min(size, self._line_size)
-        latency = self._l1_hit_lat + self._l2_hit_lat
+               s1: int, s2: int, size: int) -> int:
+        try:
+            gflat, sflat = self._homes_memo[line * self._num_gpus + node.gpu]
+        except KeyError:
+            gflat, sflat = self._home_flats(line, node)
+        version = self._next_version
+        self._next_version = version + 1
+        payload = size if size < self._line_size else self._line_size
 
         # Free, instant coherence: every stale copy vanishes first.
         self._magic_invalidate(line)
-        self._l1_store(slot, line, version, remote=node != syshome)
+        at_home = flat == sflat
+        self._l1_fill(slot, s1, line, version << 2 | (not at_home))
         local = self.l2[flat]
         self.l2_bytes_per_gpm[flat] += payload
-        victim = local.write(line, version, dirty=node == syshome,
-                             remote=node != syshome)
+        victim = local.fill(
+            line, s2, version << 2 | at_home << 1 | (not at_home))
         self._track(local, line)
-        self._handle_l2_victim(node, victim)
+        if victim is not None:
+            self._handle_l2_victim(node, victim)
 
-        if node != ghome:
+        if flat != gflat:
+            ghome = self._nodes[gflat]
             self.send(MsgType.STORE_REQ, node, ghome, line, payload=payload)
-            gl2 = self.l2[self.flat(ghome)]
-            gvictim = gl2.write(
-                line, version, dirty=ghome == syshome,
-                remote=ghome != syshome,
-            )
+            gl2 = self.l2[gflat]
+            g_is_sys = gflat == sflat
+            victim = gl2.fill(
+                line, s2, version << 2 | g_is_sys << 1 | (not g_is_sys))
             self._track(gl2, line)
-            self._handle_l2_victim(ghome, gvictim)
-            self._l2_touch(ghome, payload)
-        if ghome != syshome:
-            self.send(MsgType.STORE_REQ, ghome, syshome, line, payload=payload)
-            self._home_store(syshome, line, version, payload)
-        return AccessOutcome(0, latency)
+            if victim is not None:
+                self._handle_l2_victim(ghome, victim)
+            self.l2_bytes_per_gpm[gflat] += payload
+        if gflat != sflat:
+            self.send(MsgType.STORE_REQ, self._nodes[gflat],
+                      self._nodes[sflat], line, payload=payload)
+            self._home_store(sflat, line, s2, version, payload)
+        return 0
+
+    def _load_outcome(self, code: int, line: int, node: NodeId,
+                      scope: Scope) -> AccessOutcome:
+        return self._hier_load_outcome(code, line, node)
+
+    def _store_outcome(self, code: int, line: int,
+                       node: NodeId) -> AccessOutcome:
+        return AccessOutcome(0, self._l1_hit_lat + self._l2_hit_lat)
 
     def _atomic(self, op: MemOp) -> AccessOutcome:
         # Atomics execute at the nearest cached copy — free coherence

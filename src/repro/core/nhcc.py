@@ -14,8 +14,19 @@ sharing GPM by flat index.  The protocol follows Table I exactly:
 from __future__ import annotations
 
 from repro.core.directory import DirectoryEntry, Sharer
-from repro.core.protocol import AccessOutcome, CoherenceProtocol
+from repro.core.protocol import (
+    DRAM,
+    L1,
+    LOCAL_L2,
+    REMOTE_DRAM,
+    SYS_HOME,
+    AccessOutcome,
+    CoherenceProtocol,
+)
 from repro.core.types import MemOp, MsgType, NodeId, Scope
+from repro.memsys.cache import DIRTY, REMOTE
+
+_CTA = Scope.CTA
 
 
 class NHCCProtocol(CoherenceProtocol):
@@ -25,12 +36,19 @@ class NHCCProtocol(CoherenceProtocol):
     label = "Non-Hierarchical HW Coherence"
     has_directory = True
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        #: ``Sharer.gpm(i)`` for every flat GPM index (built once: the
+        #: load and store paths add one per directory update).
+        self._gpm_sharers = [Sharer.gpm(i)
+                             for i in range(self.cfg.total_gpms)]
+
     # ------------------------------------------------------------------
     # Directory helpers (flat sharer ids)
     # ------------------------------------------------------------------
 
     def _sharer_of(self, node: NodeId) -> Sharer:
-        return Sharer.gpm(self.flat(node))
+        return self._gpm_sharers[self.flat(node)]
 
     def _node_of_sharer(self, sharer: Sharer) -> NodeId:
         return self.node(sharer.index)
@@ -81,22 +99,23 @@ class NHCCProtocol(CoherenceProtocol):
             self._inv_sharers(home, victim, cause="evict")
         return entry
 
-    def _handle_l2_victim(self, node: NodeId, victim) -> None:
+    def _handle_l2_victim(self, node: NodeId, victim: tuple) -> None:
         super()._handle_l2_victim(node, victim)
-        if victim is None or victim.dirty:
+        line, state = victim
+        if state & DIRTY:
             return
-        if self.cfg.downgrade_on_clean_eviction and victim.remote:
-            home = self.sys_home(victim.line, node)
+        if self.cfg.downgrade_on_clean_eviction and state & REMOTE:
+            home = self.sys_home(line, node)
             if home == node:
                 return
-            self.send(MsgType.DOWNGRADE, node, home, victim.line)
+            self.send(MsgType.DOWNGRADE, node, home, line)
             entry = self.dirs[self.flat(home)].lookup(
-                self.amap.sector_of_line(victim.line), touch=False
+                self.amap.sector_of_line(line), touch=False
             )
             if entry is not None:
+                l2 = self.l2[self.flat(node)]
                 still_held = any(
-                    self.l2[self.flat(node)].peek(ln) is not None
-                    for ln in self.amap.lines_in_sector(entry.sector)
+                    ln in l2 for ln in self.amap.lines_in_sector(entry.sector)
                 )
                 if not still_held:
                     entry.discard(self._sharer_of(node))
@@ -106,90 +125,101 @@ class NHCCProtocol(CoherenceProtocol):
     # ------------------------------------------------------------------
 
     def _load(self, line: int, node: NodeId, flat: int, slot: int,
-              scope: Scope) -> AccessOutcome:
-        home = self.sys_home(line, node)
-        lat = self._lat
-        latency = self._l1_hit_lat
+              s1: int, s2: int, scope: Scope) -> int:
+        try:
+            sflat = self._sys_home_memo[line]
+        except KeyError:
+            sflat = self._sys_flat(line, node)
 
-        if scope is Scope.CTA:
-            hit = self._l1_slots[slot].lookup(line)
-            if hit is not None:
-                return AccessOutcome(hit.version, latency, hit_level="l1")
+        if scope is _CTA:
+            version = self._l1_slots[slot].probe(line, s1)
+            if version >= 0:
+                return version << 3 | L1
 
+        ls = self._line_size
         local = self.l2[flat]
-        self.l2_bytes_per_gpm[flat] += self._line_size
-        latency += self._l2_hit_lat
+        self.l2_bytes_per_gpm[flat] += ls
         # Scoped (> .cta) loads must miss everywhere but the home node,
         # which is the flat protocol's only coherence point.
-        may_hit_local = scope == Scope.CTA or node == home
-        entry = local.lookup(line) if may_hit_local else None
-        if not may_hit_local:
+        if scope is _CTA or flat == sflat:
+            version = local.probe(line, s2)
+            if version >= 0:
+                self._l1_slots[slot].fill(line, s1,
+                                          version << 2 | (flat != sflat))
+                if self._tracing:
+                    self.tracer.fill("l1", node, line)
+                return version << 3 | LOCAL_L2
+        else:
             local.stats.misses += 1
-        if entry is not None:
-            self._l1_fill(slot, node, line, entry.version,
-                          remote=home != node)
-            return AccessOutcome(entry.version, latency, hit_level="local_l2")
 
-        if node == home:
-            version = self.dram[self.flat(home)].read(line)
-            latency += lat.dram_access
-            victim = local.fill(line, version, remote=False)
-            self._handle_l2_victim(node, victim)
-            self._l1_fill(slot, node, line, version, remote=False)
-            return AccessOutcome(version, latency, hit_level="dram")
+        if flat == sflat:
+            version = self.dram[sflat].read(line)
+            victim = local.fill(line, s2, version << 2)
+            if victim is not None:
+                self._handle_l2_victim(node, victim)
+            self._l1_slots[slot].fill(line, s1, version << 2)
+            if self._tracing:
+                self.tracer.fill("l1", node, line)
+            return version << 3 | DRAM
 
         # Remote request to the home node.
+        home = self._nodes[sflat]
         if home.gpu != node.gpu:
             self.stats.remote_gpu_loads += 1
         self.send(MsgType.LOAD_REQ, node, home, line)
-        latency += 2 * self.hop_latency(node, home)
-        home_l2 = self.l2[self.flat(home)]
-        self._l2_touch(home, self._line_size)
-        latency += self._l2_hit_lat
-        home_entry = home_l2.lookup(line)
-        if home_entry is None:
-            version = self.dram[self.flat(home)].read(line)
-            latency += lat.dram_access
-            victim = home_l2.fill(line, version, remote=False)
-            self._handle_l2_victim(home, victim)
-            level = "dram"
+        home_l2 = self.l2[sflat]
+        self.l2_bytes_per_gpm[sflat] += ls
+        version = home_l2.probe(line, s2)
+        if version < 0:
+            version = self.dram[sflat].read(line)
+            victim = home_l2.fill(line, s2, version << 2)
+            if victim is not None:
+                self._handle_l2_victim(home, victim)
+            where = REMOTE_DRAM
         else:
-            version = home_entry.version
-            level = "home_l2"
+            where = SYS_HOME
 
         # Table I: remote load — add sender to sharers, -> V.
-        entry = self._dir_allocate(home, self.amap.sector_of_line(line))
-        entry.add(self._sharer_of(node))
+        entry = self._dir_allocate(home, line >> self._sector_bits)
+        entry.sharers.add(self._gpm_sharers[flat])
 
         self.send(MsgType.DATA_RESP, home, node, line)
-        victim = local.fill(line, version, remote=True)
-        self._handle_l2_victim(node, victim)
-        self._l2_touch(node, self._line_size)
-        self._l1_fill(slot, node, line, version, remote=True)
-        return AccessOutcome(version, latency, hit_level=level)
+        victim = local.fill(line, s2, version << 2 | 1)
+        if victim is not None:
+            self._handle_l2_victim(node, victim)
+        self.l2_bytes_per_gpm[flat] += ls
+        self._l1_slots[slot].fill(line, s1, version << 2 | 1)
+        if self._tracing:
+            self.tracer.fill("l1", node, line)
+        return version << 3 | where
 
     # ------------------------------------------------------------------
     # Stores and atomics
     # ------------------------------------------------------------------
 
     def _store(self, line: int, node: NodeId, flat: int, slot: int,
-               size: int) -> AccessOutcome:
-        home = self.sys_home(line, node)
-        version = self._new_version()
-        latency = self._l1_hit_lat
+               s1: int, s2: int, size: int) -> int:
+        try:
+            sflat = self._sys_home_memo[line]
+        except KeyError:
+            sflat = self._sys_flat(line, node)
+        version = self._next_version
+        self._next_version = version + 1
+        payload = size if size < self._line_size else self._line_size
 
-        self._l1_store(slot, line, version, remote=home != node)
-        local = self.l2[flat]
-        self.l2_bytes_per_gpm[flat] += min(size, self._line_size)
-        victim = local.write(line, version, dirty=node == home,
-                             remote=home != node)
-        self._handle_l2_victim(node, victim)
-        latency += self._l2_hit_lat
+        at_home = flat == sflat
+        self._l1_slots[slot].fill(line, s1, version << 2 | (not at_home))
+        self.l2_bytes_per_gpm[flat] += payload
+        victim = self.l2[flat].fill(
+            line, s2, version << 2 | at_home << 1 | (not at_home))
+        if victim is not None:
+            self._handle_l2_victim(node, victim)
 
-        sector = self.amap.sector_of_line(line)
-        directory = self.dirs[self.flat(home)]
-        if node == home:
+        sector = line >> self._sector_bits
+        home = self._nodes[sflat]
+        if at_home:
             # Table I, local store in V: inv all sharers, -> I.
+            directory = self.dirs[sflat]
             entry = directory.lookup(sector, touch=False)
             if entry is not None:
                 if entry.sharers:
@@ -198,25 +228,31 @@ class NHCCProtocol(CoherenceProtocol):
                 directory.invalidate(sector)
         else:
             # Write-through travels to the home node.
-            payload = min(size, self._line_size)
             self.send(MsgType.STORE_REQ, node, home, line, payload=payload)
-            latency += self.hop_latency(node, home)
-            self._home_store(home, line, version, payload)
+            self._home_store(sflat, line, s2, version, payload)
             # Table I, remote store: add sender, inv other sharers.
             entry = self._dir_allocate(home, sector)
-            me = self._sharer_of(node)
+            me = self._gpm_sharers[flat]
             if entry.others(me):
                 self.stats.stores_on_shared += 1
                 self._inv_sharers(home, entry, keep=me, cause="store")
             entry.sharers = {me}
-        return AccessOutcome(0, latency)
+        return 0
+
+    def _load_outcome(self, code: int, line: int, node: NodeId,
+                      scope: Scope) -> AccessOutcome:
+        return self._flat_load_outcome(code, line, node)
+
+    def _store_outcome(self, code: int, line: int,
+                       node: NodeId) -> AccessOutcome:
+        return self._flat_store_outcome(line, node)
 
     def _atomic(self, op: MemOp) -> AccessOutcome:
-        line, _, _, slot = self.locate(op)
+        line, _, _, slot, s1, s2 = self._decode(op)
         if op.scope == Scope.CTA:
             # .cta-scope synchronization is performed in the L1.
             version = self._new_version()
-            self._l1_store(slot, line, version, remote=False)
+            self._l1_slots[slot].fill(line, s1, version << 2)
             return AccessOutcome(version, self._l1_hit_lat,
                                  exposed=True, hit_level="l1")
         # .gpu and .sys atomics both execute at the flat home node.
@@ -227,7 +263,7 @@ class NHCCProtocol(CoherenceProtocol):
         if op.node != home:
             self.send(MsgType.ATOMIC_REQ, op.node, home, line, payload=16)
             latency += self.rtt(op.node, home)
-        self._home_store(home, line, version, self._line_size)
+        self._home_store(self.flat(home), line, s2, version, self._line_size)
         directory = self.dirs[self.flat(home)]
         if op.node == home:
             entry = directory.lookup(sector, touch=False)
@@ -245,11 +281,11 @@ class NHCCProtocol(CoherenceProtocol):
             entry.sharers = {me}
             self.send(MsgType.ATOMIC_RESP, home, op.node, line)
             # The result is cached by the requester as a store would be.
-            victim = self.l2[self.flat(op.node)].write(
-                line, version, remote=True
-            )
-            self._handle_l2_victim(op.node, victim)
-            self._l2_touch(op.node, self._line_size)
+            victim = self.l2[self.flat(op.node)].fill(
+                line, s2, version << 2 | REMOTE)
+            if victim is not None:
+                self._handle_l2_victim(op.node, victim)
+            self.l2_bytes_per_gpm[self.flat(op.node)] += self._line_size
         return AccessOutcome(version, latency, exposed=False)
 
     # ------------------------------------------------------------------

@@ -11,6 +11,17 @@ Keeping traffic emission behind a sink interface lets the throughput
 engine aggregate bytes-per-resource with no per-message allocation,
 while the detailed engine can materialize real messages and schedule
 them through link queues.
+
+The load and store handlers (``_load`` / ``_store``) return a packed int
+code instead of an outcome object: ``version << 3 | where`` for a load,
+where ``where`` names the level that served it (:data:`L1` ..
+:data:`REMOTE_DRAM`), and 0 for a store unless its latency is exposed
+(:data:`EXPOSED`).  A load's or store's latency is a pure function of
+which transition fired and of the line's homes, so the throughput
+engine's columnar loop never computes it; :meth:`CoherenceProtocol.process`
+and the ``MemOp`` paths rebuild the full :class:`AccessOutcome` from the
+code (``_load_outcome`` / ``_store_outcome``).  See DESIGN.md, "The
+handler contract".
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from repro.config import SystemConfig
 from repro.core.directory import CoherenceDirectory
 from repro.core.types import MemOp, MsgType, NodeId, OpType, Scope
 from repro.memsys.address import AddressMap
-from repro.memsys.cache import CacheLine, SetAssociativeCache
+from repro.memsys.cache import DIRTY, SetAssociativeCache
 from repro.memsys.dram import DramPartition
 from repro.memsys.page_table import PageTable, make_placement
 from repro.telemetry.tracer import NULL_TRACER
@@ -64,6 +75,17 @@ class RecordingSink(TrafficSink):
     def clear(self):
         """Drop all recorded messages."""
         self.messages.clear()
+
+
+#: Where a load was served — the low three bits of a load handler's
+#: code: the issuing SM's L1, its GPM's own L2, the GPU home's L2, the
+#: system home's L2, DRAM at the requester (which is the system home),
+#: and DRAM at a remote system home.
+L1, LOCAL_L2, GPU_HOME, SYS_HOME, DRAM, REMOTE_DRAM = range(6)
+#: Low bits of a store handler's code when the store's latency is
+#: exposed to the pipeline (GPU-VI's acknowledgment wait); the bits
+#: above carry what the protocol needs to rebuild that latency.
+EXPOSED = 7
 
 
 class AccessOutcome:
@@ -197,16 +219,25 @@ class CoherenceProtocol(abc.ABC):
         self._next_version = 1
         # Hot-path constants and memos.  Home mapping is a pure function
         # of the line (after the page's first touch pins its owner), so
-        # both lookups are memoized per protocol instance; the message
-        # size table flattens the per-class if-chain into dict lookups.
+        # both lookups are memoized per protocol instance, as flat GPM
+        # indices; the message size table flattens the per-class
+        # if-chain into dict lookups.
         self._gpms_per_gpu = cfg.gpms_per_gpu
+        self._num_gpus = cfg.num_gpus
+        #: Every GPM's ``NodeId``, indexed by flat index.
+        self._nodes = [NodeId.from_flat(i, cfg.gpms_per_gpu)
+                       for i in range(cfg.total_gpms)]
+        #: line -> flat index of its system home.
         self._sys_home_memo: dict = {}
+        #: ``line * num_gpus + gpu`` -> (GPU home, system home) flat
+        #: indices of the line as seen from ``gpu``.
         self._homes_memo: dict = {}
         self._lat = cfg.latency
         self._l1_hit_lat = float(cfg.latency.l1_hit)
         self._l2_hit_lat = float(cfg.latency.l2_hit)
         self._line_size = cfg.line_size
         self._line_bits = self.amap.line_bits
+        self._sector_bits = self.amap.sector_bits
         sizes = cfg.message_sizes
         data_size = sizes.data_payload_extra + cfg.line_size
         self._req_header = sizes.request_header
@@ -254,6 +285,10 @@ class CoherenceProtocol(abc.ABC):
             if self.has_directory
             else []
         )
+        # Every L1 slice shares one geometry, and so does every L2
+        # partition: one set index per level serves all of them.
+        self._l1_set = self._l1_slots[0].set_index
+        self._l2_set = self.l2[0].set_index
         #: Per-GPM count of ops issued (throughput engine input).
         self.ops_per_gpm = [0] * n
         #: Per-GPM L2 data-bank bytes moved (throughput engine input).
@@ -297,19 +332,25 @@ class CoherenceProtocol(abc.ABC):
 
     def sys_home(self, line: int, toucher: NodeId) -> NodeId:
         """System home node of a line: the GPM whose DRAM holds its page
-        (placing the page first-touch if untouched).
+        (placing the page first-touch if untouched)."""
+        return self._nodes[self._sys_flat(line, toucher)]
+
+    def _sys_flat(self, line: int, toucher: NodeId) -> int:
+        """Flat index of :meth:`sys_home`.
 
         Memoized per line: once the containing page is placed, the home
         never changes under any placement policy, and this lookup sits
-        on the per-op hot path of every protocol.
+        on the per-op hot path of every protocol (whose handlers read
+        the memo inline and call this only on a miss).
         """
         try:
             return self._sys_home_memo[line]
         except KeyError:
             page = self.amap.page_of_line(line)
             home = self.page_table.owner_of_page(page, toucher)
-            self._sys_home_memo[line] = home
-            return home
+            flat = home.gpu * self._gpms_per_gpu + home.gpm
+            self._sys_home_memo[line] = flat
+            return flat
 
     def gpu_home(self, line: int, gpu: int, syshome: NodeId) -> NodeId:
         """GPU home node for a line within ``gpu`` (Section V-A): the
@@ -318,30 +359,43 @@ class CoherenceProtocol(abc.ABC):
         return self.amap.gpu_home(line, gpu, syshome)
 
     def homes(self, line: int, node: NodeId) -> tuple:
-        """(gpu_home, sys_home) for a line as seen from ``node``.
+        """(gpu_home, sys_home) for a line as seen from ``node``."""
+        gflat, sflat = self._home_flats(line, node)
+        return self._nodes[gflat], self._nodes[sflat]
+
+    def _home_flats(self, line: int, node: NodeId) -> tuple:
+        """Flat indices of :meth:`homes`.
 
         Memoized per ``(line, gpu)``: both homes are stable once the
-        page is placed, and the pair is recomputed for every load and
-        store the protocols process.
+        page is placed, and the pair is needed by every load and store
+        of the hierarchical protocols (whose handlers read the memo
+        inline and call this only on a miss).
         """
-        key = (line, node.gpu)
+        key = line * self._num_gpus + node.gpu
         try:
             return self._homes_memo[key]
         except KeyError:
-            syshome = self.sys_home(line, node)
-            pair = (self.amap.gpu_home(line, node.gpu, syshome), syshome)
+            sflat = self._sys_flat(line, node)
+            ghome = self.amap.gpu_home(line, node.gpu, self._nodes[sflat])
+            pair = (ghome.gpu * self._gpms_per_gpu + ghome.gpm, sflat)
             self._homes_memo[key] = pair
             return pair
 
     def locate(self, op: MemOp) -> tuple:
-        """Decode ``op`` into the handler arguments ``(line, node, flat,
-        slot)``: its cache line, issuing GPM, flat GPM index and flat
-        L1 slot (see :attr:`_l1_slots`)."""
+        """Decode ``op`` into ``(line, node, flat, slot)``: its cache
+        line, issuing GPM, flat GPM index and flat L1 slot (see
+        :attr:`_l1_slots`)."""
         node = op.node
         flat = node.gpu * self._gpms_per_gpu + node.gpm
         per_gpm = self._l1_per_gpm
         return (op.address >> self._line_bits, node, flat,
                 flat * per_gpm + op.cta % per_gpm)
+
+    def _decode(self, op: MemOp) -> tuple:
+        """:meth:`locate` plus the line's L1 and L2 set indices: the
+        leading handler arguments ``(line, node, flat, slot, s1, s2)``."""
+        line, node, flat, slot = self.locate(op)
+        return line, node, flat, slot, self._l1_set(line), self._l2_set(line)
 
     # ------------------------------------------------------------------
     # Latency helpers
@@ -389,46 +443,42 @@ class CoherenceProtocol(abc.ABC):
             stats.msg_bytes[mtype] = size
         self.sink.send(mtype, src, dst, line, size)
 
-    def _l2_touch(self, node: NodeId, nbytes: int) -> None:
-        self.l2_bytes_per_gpm[node.gpu * self._gpms_per_gpu + node.gpm] += (
-            nbytes
-        )
-
     def _new_version(self) -> int:
         v = self._next_version
         self._next_version += 1
         return v
 
-    def _home_store(self, home: NodeId, line: int, version: int,
+    def _home_store(self, hflat: int, line: int, s2: int, version: int,
                     payload: int) -> None:
-        """Apply a store at its home node.
+        """Apply a store at its home node (flat index ``hflat``; ``s2``
+        is the line's L2 set).
 
         The home L2 keeps the line dirty (it is the last level before
         DRAM); DRAM is updated when the dirty line is evicted, as a
         memory-side cache would, rather than on every write-through.
         """
-        l2 = self.l2[self.flat(home)]
-        self._l2_touch(home, payload)
-        victim = l2.write(line, version, dirty=True, remote=False)
-        self._handle_l2_victim(home, victim)
+        self.l2_bytes_per_gpm[hflat] += payload
+        victim = self.l2[hflat].fill(line, s2, version << 2 | DIRTY)
+        if victim is not None:
+            self._handle_l2_victim(self._nodes[hflat], victim)
 
     # ------------------------------------------------------------------
     # L2 victim handling (shared)
     # ------------------------------------------------------------------
 
-    def _handle_l2_victim(self, node: NodeId, victim: CacheLine) -> None:
-        """Default victim policy: silent clean eviction; dirty lines are
-        written back to the home node.  Subclasses with directories add
-        downgrade handling."""
-        if victim is None:
-            return
+    def _handle_l2_victim(self, node: NodeId, victim: tuple) -> None:
+        """Default policy for an evicted ``(line, state)``: silent clean
+        eviction; dirty lines are written back to the home node.
+        Subclasses with directories add downgrade handling."""
+        line, state = victim
         if self._tracing:
-            self.tracer.evict("l2", node, victim.line, victim.dirty)
-        if victim.dirty:
-            home = self.sys_home(victim.line, node)
+            self.tracer.evict("l2", node, line, bool(state & DIRTY))
+        if state & DIRTY:
+            hflat = self._sys_flat(line, node)
+            home = self._nodes[hflat]
             if home != node:
-                self.send(MsgType.WRITEBACK, node, home, victim.line)
-            self.dram[self.flat(home)].write(victim.line, victim.version)
+                self.send(MsgType.WRITEBACK, node, home, line)
+            self.dram[hflat].write(line, state >> 2)
 
     # ------------------------------------------------------------------
     # Op processing
@@ -438,12 +488,11 @@ class CoherenceProtocol(abc.ABC):
         """Run one trace operation through the protocol.
 
         Counts the op, then hands it to the per-kind handler: loads and
-        stores go to :meth:`_load` / :meth:`_store` with the op decoded
-        into ``(line, node, flat, slot, scope | size)`` — the arguments
-        the throughput engine's columnar loop passes straight from the
-        trace columns — and atomics and synchronizing ops to their
-        ``MemOp`` handlers, which decode through :meth:`locate` when
-        they reach a load or store.
+        stores go to :meth:`_load_op` / :meth:`_store_op`, which decode
+        it into the handler arguments the throughput engine's columnar
+        loop passes straight from the trace columns and rebuild the
+        :class:`AccessOutcome` from the handler's code; atomics and
+        synchronizing ops go to their ``MemOp`` handlers.
         """
         kind = op.op
         stats = self.stats
@@ -452,16 +501,16 @@ class CoherenceProtocol(abc.ABC):
             counts[kind] += 1
         except KeyError:
             counts[kind] = 1
-        line, node, flat, slot = self.locate(op)
-        self.ops_per_gpm[flat] += 1
+        node = op.node
+        self.ops_per_gpm[node.gpu * self._gpms_per_gpu + node.gpm] += 1
         # Identity comparison is safe (enum members are singletons) and
         # the branches are ordered by trace frequency.
         if kind is OpType.LOAD:
             stats.loads += 1
-            return self._load(line, node, flat, slot, op.scope)
+            return self._load_op(op)
         if kind is OpType.STORE:
             stats.stores += 1
-            return self._store(line, node, flat, slot, op.size)
+            return self._store_op(op)
         if kind is OpType.ATOMIC:
             stats.atomics += 1
             return self._atomic(op)
@@ -504,24 +553,47 @@ class CoherenceProtocol(abc.ABC):
 
     @abc.abstractmethod
     def _load(self, line: int, node: NodeId, flat: int, slot: int,
-              scope: Scope) -> AccessOutcome:
-        """A load of ``line`` by ``node`` (flat index ``flat``) through
-        L1 slot ``slot`` at ``scope``."""
+              s1: int, s2: int, scope: Scope) -> int:
+        """A load of ``line`` (L1 set ``s1``, L2 set ``s2``) by ``node``
+        (flat index ``flat``) through L1 slot ``slot`` at ``scope``.
+        Returns ``version << 3 | where`` (see :data:`L1`)."""
 
     @abc.abstractmethod
     def _store(self, line: int, node: NodeId, flat: int, slot: int,
-               size: int) -> AccessOutcome:
-        """A ``size``-byte store to ``line`` by ``node`` through L1 slot
-        ``slot``."""
+               s1: int, s2: int, size: int) -> int:
+        """A ``size``-byte store to ``line`` (sets ``s1``/``s2``) by
+        ``node`` through L1 slot ``slot``.  Returns 0, or a code whose
+        low bits are :data:`EXPOSED`."""
+
+    @abc.abstractmethod
+    def _load_outcome(self, code: int, line: int, node: NodeId,
+                      scope: Scope) -> AccessOutcome:
+        """The :class:`AccessOutcome` of a load that returned ``code``:
+        a pure function of the code, the line's homes and the scope."""
+
+    @abc.abstractmethod
+    def _store_outcome(self, code: int, line: int,
+                       node: NodeId) -> AccessOutcome:
+        """The :class:`AccessOutcome` of a store that returned ``code``."""
+
+    def exposed_latency(self, code: int) -> float:
+        """Exposed latency of a store whose code is :data:`EXPOSED`
+        (the columnar loop's stall, without building an outcome)."""
+        raise ValueError(f"{self.name} stores are never exposed")
 
     def _load_op(self, op: MemOp, scope: Scope = None) -> AccessOutcome:
         """:meth:`_load` for a ``MemOp`` (at ``scope`` if given)."""
-        return self._load(*self.locate(op),
-                          op.scope if scope is None else scope)
+        line, node, flat, slot, s1, s2 = self._decode(op)
+        if scope is None:
+            scope = op.scope
+        code = self._load(line, node, flat, slot, s1, s2, scope)
+        return self._load_outcome(code, line, node, scope)
 
     def _store_op(self, op: MemOp) -> AccessOutcome:
         """:meth:`_store` for a ``MemOp``."""
-        return self._store(*self.locate(op), op.size)
+        line, node, flat, slot, s1, s2 = self._decode(op)
+        code = self._store(line, node, flat, slot, s1, s2, op.size)
+        return self._store_outcome(code, line, node)
 
     @abc.abstractmethod
     def _atomic(self, op: MemOp) -> AccessOutcome: ...
@@ -542,19 +614,87 @@ class CoherenceProtocol(abc.ABC):
         )
 
     # ------------------------------------------------------------------
-    # Shared flow fragments
+    # Outcome rebuilding (shared formulas)
     # ------------------------------------------------------------------
 
-    def _l1_fill(self, slot: int, node: NodeId, line: int, version: int,
-                 remote: bool) -> None:
-        self._l1_slots[slot].fill(line, version, remote=remote)
-        if self._tracing:
-            self.tracer.fill("l1", node, line)
+    def _flat_load_outcome(self, code: int, line: int, node: NodeId,
+                           local_l2: bool = True) -> AccessOutcome:
+        """Outcome of a load under a flat protocol, which requests from
+        the system home directly.  ``local_l2`` says whether the load
+        accessed its own L2 before leaving the GPM."""
+        version, where = code >> 3, code & 7
+        latency = self._l1_hit_lat
+        if where == L1:
+            return AccessOutcome(version, latency, hit_level="l1")
+        if local_l2:
+            latency += self._l2_hit_lat
+        if where == LOCAL_L2:
+            return AccessOutcome(version, latency, hit_level="local_l2")
+        if where == DRAM:
+            return AccessOutcome(version, latency + self._lat.dram_access,
+                                 hit_level="dram")
+        latency += 2 * self.hop_latency(node, self.sys_home(line, node))
+        latency += self._l2_hit_lat
+        if where == SYS_HOME:
+            return AccessOutcome(version, latency, hit_level="home_l2")
+        return AccessOutcome(version, latency + self._lat.dram_access,
+                             hit_level="dram")
 
-    def _l1_store(self, slot: int, line: int, version: int,
-                  remote: bool) -> None:
-        """Write-through store: the L1 keeps the written data."""
-        self._l1_slots[slot].write(line, version, dirty=False, remote=remote)
+    def _hier_load_outcome(self, code: int, line: int, node: NodeId,
+                           local_level: str = "local_l2") -> AccessOutcome:
+        """Outcome of a load under a hierarchical protocol, which climbs
+        local L2 -> GPU home -> system home.  ``local_level`` is the
+        hit level reported for a hit in the requester's own L2."""
+        version, where = code >> 3, code & 7
+        latency = self._l1_hit_lat
+        if where == L1:
+            return AccessOutcome(version, latency, hit_level="l1")
+        latency += self._l2_hit_lat
+        if where == LOCAL_L2:
+            return AccessOutcome(version, latency, hit_level=local_level)
+        if where == DRAM:
+            return AccessOutcome(version, latency + self._lat.dram_access,
+                                 hit_level="dram")
+        ghome, syshome = self.homes(line, node)
+        if node != ghome:
+            latency += 2 * self.hop_latency(node, ghome)
+            latency += self._l2_hit_lat
+        if where == GPU_HOME:
+            return AccessOutcome(
+                version, latency,
+                hit_level="gpu_home" if ghome != syshome else "sys_home")
+        if ghome != syshome:
+            latency += 2 * self.hop_latency(ghome, syshome)
+            latency += self._l2_hit_lat
+        if where == SYS_HOME:
+            return AccessOutcome(version, latency, hit_level="sys_home")
+        return AccessOutcome(version, latency + self._lat.dram_access,
+                             hit_level="dram")
+
+    def _flat_store_outcome(self, line: int, node: NodeId) -> AccessOutcome:
+        """Outcome of a write-through store under a flat protocol: L1
+        and local L2, then one hop to the system home."""
+        home = self.sys_home(line, node)
+        latency = self._l1_hit_lat + self._l2_hit_lat
+        if node != home:
+            latency += self.hop_latency(node, home)
+        return AccessOutcome(0, latency)
+
+    def _hier_store_outcome(self, line: int, node: NodeId) -> AccessOutcome:
+        """Outcome of a write-through store under a hierarchical
+        protocol: L1 and local L2, then a hop to the GPU home and one on
+        to the system home."""
+        ghome, syshome = self.homes(line, node)
+        latency = self._l1_hit_lat + self._l2_hit_lat
+        if node != ghome:
+            latency += self.hop_latency(node, ghome)
+        if ghome != syshome:
+            latency += self.hop_latency(ghome, syshome)
+        return AccessOutcome(0, latency)
+
+    # ------------------------------------------------------------------
+    # Shared flow fragments
+    # ------------------------------------------------------------------
 
     def _invalidate_l1s(self, node: NodeId, slice_index: int = None) -> int:
         """Flash-invalidate L1 slice(s) of a GPM (acquire semantics)."""
@@ -563,7 +703,7 @@ class CoherenceProtocol(abc.ABC):
         targets = slices if slice_index is None else [slices[slice_index]]
         dropped = 0
         for sl in targets:
-            dropped += len(sl.invalidate_all())
+            dropped += sl.invalidate_all()
         self.bulk_invs_per_gpm[flat] += len(targets)
         if self._tracing:
             self.tracer.bulk_invalidate(node, "l1", dropped)

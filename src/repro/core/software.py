@@ -21,8 +21,20 @@ drain.
 
 from __future__ import annotations
 
-from repro.core.protocol import AccessOutcome, CoherenceProtocol
+from repro.core.protocol import (
+    DRAM,
+    GPU_HOME,
+    L1,
+    LOCAL_L2,
+    REMOTE_DRAM,
+    SYS_HOME,
+    AccessOutcome,
+    CoherenceProtocol,
+)
 from repro.core.types import MemOp, MsgType, NodeId, Scope
+
+_CTA = Scope.CTA
+_SYS = Scope.SYS
 
 
 class _SoftwareProtocolBase(CoherenceProtocol):
@@ -42,14 +54,20 @@ class _SoftwareProtocolBase(CoherenceProtocol):
         owner = self._owner_of_line(line, node)
         return self.amap.gpu_home(line, node.gpu, owner)
 
-    def _bulk_invalidate_l2(self, node: NodeId, predicate) -> int:
-        """Flash-invalidate matching lines in one GPM's L2."""
-        dropped = self.l2[self.flat(node)].invalidate_where(predicate)
+    def _bulk_invalidate_l2(self, node: NodeId, predicate=None) -> int:
+        """Flash-invalidate the lines of one GPM's L2 for which
+        ``predicate(line, state)`` holds — every remotely-homed line
+        when ``predicate`` is None."""
+        l2 = self.l2[self.flat(node)]
+        if predicate is None:
+            dropped = l2.invalidate_remote()
+        else:
+            dropped = l2.invalidate_where(predicate)
         self.bulk_invs_per_gpm[self.flat(node)] += 1
-        self.stats.lines_inv_by_acquire += len(dropped)
+        self.stats.lines_inv_by_acquire += dropped
         if self._tracing:
-            self.tracer.bulk_invalidate(node, "l2", len(dropped))
-        return len(dropped)
+            self.tracer.bulk_invalidate(node, "l2", dropped)
+        return dropped
 
     # -- releases ----------------------------------------------------------
 
@@ -89,105 +107,119 @@ class NonHierarchicalSWProtocol(_SoftwareProtocolBase):
     name = "sw"
     label = "Non-Hierarchical SW Coherence"
 
-    def _home(self, line: int, toucher: NodeId) -> NodeId:
-        return self.sys_home(line, toucher)
-
     # -- loads ---------------------------------------------------------
 
     def _load(self, line: int, node: NodeId, flat: int, slot: int,
-              scope: Scope) -> AccessOutcome:
-        home = self._home(line, node)
-        lat = self._lat
-        latency = self._l1_hit_lat
+              s1: int, s2: int, scope: Scope) -> int:
+        try:
+            sflat = self._sys_home_memo[line]
+        except KeyError:
+            sflat = self._sys_flat(line, node)
 
-        if scope is Scope.CTA:
-            hit = self._l1_slots[slot].lookup(line)
-            if hit is not None:
-                return AccessOutcome(hit.version, latency, hit_level="l1")
+        if scope is _CTA:
+            version = self._l1_slots[slot].probe(line, s1)
+            if version >= 0:
+                return version << 3 | L1
 
         local = self.l2[flat]
         self.l2_bytes_per_gpm[flat] += self._line_size
-        latency += self._l2_hit_lat
-        may_hit_local = scope == Scope.CTA or node == home
-        entry = local.lookup(line) if may_hit_local else None
-        if not may_hit_local:
+        if scope is _CTA or flat == sflat:
+            version = local.probe(line, s2)
+            if version >= 0:
+                self._l1_slots[slot].fill(line, s1,
+                                          version << 2 | (flat != sflat))
+                if self._tracing:
+                    self.tracer.fill("l1", node, line)
+                return version << 3 | LOCAL_L2
+        else:
             local.stats.misses += 1
-        if entry is not None:
-            self._l1_fill(slot, node, line, entry.version,
-                          remote=home != node)
-            return AccessOutcome(entry.version, latency,
-                                 hit_level="local_l2")
 
-        if node == home:
-            version = self.dram[self.flat(home)].read(line)
-            latency += lat.dram_access
-            victim = local.fill(line, version, remote=False)
-            self._handle_l2_victim(node, victim)
-            self._l1_fill(slot, node, line, version, remote=False)
-            return AccessOutcome(version, latency, hit_level="dram")
+        if flat == sflat:
+            version = self.dram[sflat].read(line)
+            victim = local.fill(line, s2, version << 2)
+            if victim is not None:
+                self._handle_l2_victim(node, victim)
+            self._l1_slots[slot].fill(line, s1, version << 2)
+            if self._tracing:
+                self.tracer.fill("l1", node, line)
+            return version << 3 | DRAM
 
+        home = self._nodes[sflat]
         if home.gpu != node.gpu:
             self.stats.remote_gpu_loads += 1
         self.send(MsgType.LOAD_REQ, node, home, line)
-        latency += 2 * self.hop_latency(node, home)
-        home_l2 = self.l2[self.flat(home)]
-        self._l2_touch(home, self._line_size)
-        latency += self._l2_hit_lat
-        hentry = home_l2.lookup(line)
-        if hentry is None:
-            version = self.dram[self.flat(home)].read(line)
-            latency += lat.dram_access
-            hvictim = home_l2.fill(line, version, remote=False)
-            self._handle_l2_victim(home, hvictim)
-            level = "dram"
+        home_l2 = self.l2[sflat]
+        self.l2_bytes_per_gpm[sflat] += self._line_size
+        version = home_l2.probe(line, s2)
+        if version < 0:
+            version = self.dram[sflat].read(line)
+            victim = home_l2.fill(line, s2, version << 2)
+            if victim is not None:
+                self._handle_l2_victim(home, victim)
+            where = REMOTE_DRAM
         else:
-            version = hentry.version
-            level = "home_l2"
+            where = SYS_HOME
         self.send(MsgType.DATA_RESP, home, node, line)
-        victim = local.fill(line, version, remote=True)
-        self._handle_l2_victim(node, victim)
-        self._l1_fill(slot, node, line, version, remote=True)
-        return AccessOutcome(version, latency, hit_level=level)
+        victim = local.fill(line, s2, version << 2 | 1)
+        if victim is not None:
+            self._handle_l2_victim(node, victim)
+        self._l1_slots[slot].fill(line, s1, version << 2 | 1)
+        if self._tracing:
+            self.tracer.fill("l1", node, line)
+        return version << 3 | where
 
     # -- stores ----------------------------------------------------------
 
     def _store(self, line: int, node: NodeId, flat: int, slot: int,
-               size: int) -> AccessOutcome:
-        home = self._home(line, node)
-        version = self._new_version()
-        payload = min(size, self._line_size)
-        latency = self._l1_hit_lat + self._l2_hit_lat
+               s1: int, s2: int, size: int) -> int:
+        try:
+            sflat = self._sys_home_memo[line]
+        except KeyError:
+            sflat = self._sys_flat(line, node)
+        version = self._next_version
+        self._next_version = version + 1
+        payload = size if size < self._line_size else self._line_size
 
-        self._l1_store(slot, line, version, remote=home != node)
-        local = self.l2[flat]
+        at_home = flat == sflat
+        self._l1_slots[slot].fill(line, s1, version << 2 | (not at_home))
         self.l2_bytes_per_gpm[flat] += payload
-        victim = local.write(line, version, dirty=node == home,
-                             remote=home != node)
-        self._handle_l2_victim(node, victim)
+        victim = self.l2[flat].fill(
+            line, s2, version << 2 | at_home << 1 | (not at_home))
+        if victim is not None:
+            self._handle_l2_victim(node, victim)
 
-        if node != home:
-            self.send(MsgType.STORE_REQ, node, home, line, payload=payload)
-            latency += self.hop_latency(node, home)
-            self._home_store(home, line, version, payload)
-        return AccessOutcome(0, latency)
+        if not at_home:
+            self.send(MsgType.STORE_REQ, node, self._nodes[sflat], line,
+                      payload=payload)
+            self._home_store(sflat, line, s2, version, payload)
+        return 0
+
+    def _load_outcome(self, code: int, line: int, node: NodeId,
+                      scope: Scope) -> AccessOutcome:
+        return self._flat_load_outcome(code, line, node)
+
+    def _store_outcome(self, code: int, line: int,
+                       node: NodeId) -> AccessOutcome:
+        return self._flat_store_outcome(line, node)
 
     def _atomic(self, op: MemOp) -> AccessOutcome:
-        line, _, _, slot = self.locate(op)
+        line, _, _, slot, s1, s2 = self._decode(op)
         if op.scope == Scope.CTA:
             version = self._new_version()
-            self._l1_store(slot, line, version, remote=False)
+            self._l1_slots[slot].fill(line, s1, version << 2)
             return AccessOutcome(version, self._l1_hit_lat,
                                  exposed=True, hit_level="l1")
         # Flat software coherence performs every scoped atomic at the
         # system home node — it has no closer coherence point.
-        home = self._home(line, op.node)
+        home = self.sys_home(line, op.node)
         version = self._new_version()
         latency = self._l2_hit_lat
         if op.node != home:
             self.send(MsgType.ATOMIC_REQ, op.node, home, line, payload=16)
             self.send(MsgType.ATOMIC_RESP, home, op.node, line)
             latency += self.rtt(op.node, home)
-        self._home_store(home, line, version, self._line_size)
+        self._home_store(self.flat(home), line, s2, version,
+                         self._line_size)
         return AccessOutcome(version, latency, exposed=False)
 
     # -- synchronization ----------------------------------------------
@@ -203,9 +235,7 @@ class NonHierarchicalSWProtocol(_SoftwareProtocolBase):
         )
         # Bulk-invalidate every remotely-homed line in the local L2 —
         # the same action for .gpu and .sys in the flat protocol.
-        self._bulk_invalidate_l2(
-            op.node, lambda entry: entry.remote
-        )
+        self._bulk_invalidate_l2(op.node)
         out = self._load_op(op)
         out.latency += self.cfg.timing.bulk_invalidate_cycles
         out.exposed = True
@@ -218,7 +248,7 @@ class NonHierarchicalSWProtocol(_SoftwareProtocolBase):
         return 2.0 * self.cfg.latency.inter_gpm_hop
 
     def _boundary_l2_invalidate(self, node: NodeId) -> int:
-        return self._bulk_invalidate_l2(node, lambda entry: entry.remote)
+        return self._bulk_invalidate_l2(node)
 
 
 class HierarchicalSWProtocol(_SoftwareProtocolBase):
@@ -227,143 +257,148 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
     name = "hsw"
     label = "Hierarchical SW Coherence"
 
-    def _homes(self, line: int, node: NodeId):
-        return self.homes(line, node)
-
-    def _may_hit(self, cache_node: NodeId, scope: Scope, ghome: NodeId,
-                 syshome: NodeId) -> bool:
-        if scope == Scope.CTA:
-            return True
-        if scope == Scope.GPU:
-            return cache_node in (ghome, syshome)
-        return cache_node == syshome
-
     # -- loads ---------------------------------------------------------
 
     def _load(self, line: int, node: NodeId, flat: int, slot: int,
-              scope: Scope) -> AccessOutcome:
-        ghome, syshome = self.homes(line, node)
-        lat = self._lat
-        latency = self._l1_hit_lat
+              s1: int, s2: int, scope: Scope) -> int:
+        try:
+            gflat, sflat = self._homes_memo[line * self._num_gpus + node.gpu]
+        except KeyError:
+            gflat, sflat = self._home_flats(line, node)
 
-        if scope is Scope.CTA:
-            hit = self._l1_slots[slot].lookup(line)
-            if hit is not None:
-                return AccessOutcome(hit.version, latency, hit_level="l1")
+        if scope is _CTA:
+            version = self._l1_slots[slot].probe(line, s1)
+            if version >= 0:
+                return version << 3 | L1
 
-        local = self.l2[flat]
-        self.l2_bytes_per_gpm[flat] += self._line_size
-        latency += self._l2_hit_lat
-        if self._may_hit(node, scope, ghome, syshome):
-            entry = local.lookup(line)
+        ls = self._line_size
+        l2 = self.l2
+        l2_bytes = self.l2_bytes_per_gpm
+        local = l2[flat]
+        l2_bytes[flat] += ls
+        # Scope-dependent hit permission: .cta hits anywhere, .gpu at
+        # the GPU or system home, .sys only at the system home.
+        if (scope is _CTA or flat == sflat
+                or (scope is not _SYS and flat == gflat)):
+            version = local.probe(line, s2)
+            if version >= 0:
+                self._l1_slots[slot].fill(line, s1,
+                                          version << 2 | (flat != sflat))
+                if self._tracing:
+                    self.tracer.fill("l1", node, line)
+                return version << 3 | LOCAL_L2
         else:
-            entry = None
             local.stats.misses += 1
-        if entry is not None:
-            self._l1_fill(slot, node, line, entry.version,
-                          remote=node != syshome)
-            return AccessOutcome(entry.version, latency,
-                                 hit_level="local_l2")
 
-        if node == syshome:
-            version = self.dram[self.flat(syshome)].read(line)
-            latency += lat.dram_access
-            victim = local.fill(line, version, remote=False)
-            self._handle_l2_victim(node, victim)
-            self._l1_fill(slot, node, line, version, remote=False)
-            return AccessOutcome(version, latency, hit_level="dram")
+        if flat == sflat:
+            version = self.dram[sflat].read(line)
+            victim = local.fill(line, s2, version << 2)
+            if victim is not None:
+                self._handle_l2_victim(node, victim)
+            self._l1_slots[slot].fill(line, s1, version << 2)
+            if self._tracing:
+                self.tracer.fill("l1", node, line)
+            return version << 3 | DRAM
 
-        version = None
-        level = "dram"
-        if node != ghome:
+        nodes = self._nodes
+        ghome = nodes[gflat]
+        version = -1
+        where = REMOTE_DRAM
+        if flat != gflat:
             self.send(MsgType.LOAD_REQ, node, ghome, line)
-            latency += 2 * self.hop_latency(node, ghome)
-            self._l2_touch(ghome, self._line_size)
-            latency += self._l2_hit_lat
-            gl2 = self.l2[self.flat(ghome)]
-            if self._may_hit(ghome, scope, ghome, syshome):
-                gentry = gl2.lookup(line)
+            l2_bytes[gflat] += ls
+            gl2 = l2[gflat]
+            if scope is not _SYS or gflat == sflat:
+                version = gl2.probe(line, s2)
+                if version >= 0:
+                    where = GPU_HOME
             else:
-                gentry = None
                 gl2.stats.misses += 1
-            if gentry is not None:
-                version = gentry.version
-                level = "gpu_home" if ghome != syshome else "sys_home"
 
-        if version is None and ghome != syshome:
+        if version < 0 and gflat != sflat:
+            syshome = nodes[sflat]
             self.stats.remote_gpu_loads += 1
             self.send(MsgType.LOAD_REQ, ghome, syshome, line)
-            latency += 2 * self.hop_latency(ghome, syshome)
-            self._l2_touch(syshome, self._line_size)
-            latency += self._l2_hit_lat
-            sentry = self.l2[self.flat(syshome)].lookup(line)
-            if sentry is not None:
-                version = sentry.version
-                level = "sys_home"
+            l2_bytes[sflat] += ls
+            sl2 = l2[sflat]
+            version = sl2.probe(line, s2)
+            if version >= 0:
+                where = SYS_HOME
             else:
-                version = self.dram[self.flat(syshome)].read(line)
-                latency += lat.dram_access
-                svictim = self.l2[self.flat(syshome)].fill(
-                    line, version, remote=False
-                )
-                self._handle_l2_victim(syshome, svictim)
+                version = self.dram[sflat].read(line)
+                victim = sl2.fill(line, s2, version << 2)
+                if victim is not None:
+                    self._handle_l2_victim(syshome, victim)
             self.send(MsgType.DATA_RESP, syshome, ghome, line)
-            if node != ghome:
-                gvictim = self.l2[self.flat(ghome)].fill(
-                    line, version, remote=True
-                )
-                self._handle_l2_victim(ghome, gvictim)
-                self._l2_touch(ghome, self._line_size)
-        elif version is None:
-            version = self.dram[self.flat(syshome)].read(line)
-            latency += lat.dram_access
-            svictim = self.l2[self.flat(syshome)].fill(
-                line, version, remote=False
-            )
-            self._handle_l2_victim(syshome, svictim)
+            if flat != gflat:
+                victim = l2[gflat].fill(line, s2, version << 2 | 1)
+                if victim is not None:
+                    self._handle_l2_victim(ghome, victim)
+                l2_bytes[gflat] += ls
+        elif version < 0:
+            version = self.dram[sflat].read(line)
+            victim = l2[sflat].fill(line, s2, version << 2)
+            if victim is not None:
+                self._handle_l2_victim(nodes[sflat], victim)
 
-        if node != ghome:
+        if flat != gflat:
             self.send(MsgType.DATA_RESP, ghome, node, line)
-        victim = local.fill(line, version, remote=True)
-        self._handle_l2_victim(node, victim)
-        self._l1_fill(slot, node, line, version, remote=True)
-        return AccessOutcome(version, latency, hit_level=level)
+        victim = local.fill(line, s2, version << 2 | 1)
+        if victim is not None:
+            self._handle_l2_victim(node, victim)
+        self._l1_slots[slot].fill(line, s1, version << 2 | 1)
+        if self._tracing:
+            self.tracer.fill("l1", node, line)
+        return version << 3 | where
 
     # -- stores ----------------------------------------------------------
 
     def _store(self, line: int, node: NodeId, flat: int, slot: int,
-               size: int) -> AccessOutcome:
-        ghome, syshome = self.homes(line, node)
-        version = self._new_version()
-        payload = min(size, self._line_size)
-        latency = self._l1_hit_lat + self._l2_hit_lat
+               s1: int, s2: int, size: int) -> int:
+        try:
+            gflat, sflat = self._homes_memo[line * self._num_gpus + node.gpu]
+        except KeyError:
+            gflat, sflat = self._home_flats(line, node)
+        version = self._next_version
+        self._next_version = version + 1
+        payload = size if size < self._line_size else self._line_size
 
-        self._l1_store(slot, line, version, remote=node != syshome)
-        local = self.l2[flat]
+        at_home = flat == sflat
+        self._l1_slots[slot].fill(line, s1, version << 2 | (not at_home))
         self.l2_bytes_per_gpm[flat] += payload
-        victim = local.write(line, version, dirty=node == syshome,
-                             remote=node != syshome)
-        self._handle_l2_victim(node, victim)
+        victim = self.l2[flat].fill(
+            line, s2, version << 2 | at_home << 1 | (not at_home))
+        if victim is not None:
+            self._handle_l2_victim(node, victim)
 
-        if node != ghome:
+        if flat != gflat:
+            ghome = self._nodes[gflat]
             self.send(MsgType.STORE_REQ, node, ghome, line, payload=payload)
-            latency += self.hop_latency(node, ghome)
-            gl2 = self.l2[self.flat(ghome)]
-            self._l2_touch(ghome, payload)
-            gvictim = gl2.write(line, version, dirty=ghome == syshome,
-                                remote=ghome != syshome)
-            self._handle_l2_victim(ghome, gvictim)
-        if ghome != syshome:
-            self.send(MsgType.STORE_REQ, ghome, syshome, line, payload=payload)
-            latency += self.hop_latency(ghome, syshome)
-            self._home_store(syshome, line, version, payload)
-        return AccessOutcome(0, latency)
+            self.l2_bytes_per_gpm[gflat] += payload
+            g_is_sys = gflat == sflat
+            victim = self.l2[gflat].fill(
+                line, s2, version << 2 | g_is_sys << 1 | (not g_is_sys))
+            if victim is not None:
+                self._handle_l2_victim(ghome, victim)
+        if gflat != sflat:
+            self.send(MsgType.STORE_REQ, self._nodes[gflat],
+                      self._nodes[sflat], line, payload=payload)
+            self._home_store(sflat, line, s2, version, payload)
+        return 0
+
+    def _load_outcome(self, code: int, line: int, node: NodeId,
+                      scope: Scope) -> AccessOutcome:
+        return self._hier_load_outcome(code, line, node)
+
+    def _store_outcome(self, code: int, line: int,
+                       node: NodeId) -> AccessOutcome:
+        return self._hier_store_outcome(line, node)
 
     def _atomic(self, op: MemOp) -> AccessOutcome:
-        line, _, _, slot = self.locate(op)
+        line, _, _, slot, s1, _ = self._decode(op)
         if op.scope == Scope.CTA:
             version = self._new_version()
-            self._l1_store(slot, line, version, remote=False)
+            self._l1_slots[slot].fill(line, s1, version << 2)
             return AccessOutcome(version, self._l1_hit_lat,
                                  exposed=True, hit_level="l1")
         ghome, syshome = self.homes(line, op.node)
@@ -392,7 +427,7 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
             # Drop lines whose GPU home is another GPM of this GPU.
             self._bulk_invalidate_l2(
                 op.node,
-                lambda entry: self._gpu_home_of_line(entry.line, op.node)
+                lambda line, state: self._gpu_home_of_line(line, op.node)
                 != op.node,
             )
         else:
@@ -402,13 +437,13 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
             for other_gpm in range(self.cfg.gpms_per_gpu):
                 target = NodeId(gpu, other_gpm)
 
-                def stale(entry, target=target):
-                    owner = self._owner_of_line(entry.line, target)
+                def stale(line, state, target=target):
+                    owner = self._owner_of_line(line, target)
                     if owner.gpu != gpu:
                         return True
                     return (
                         target == op.node
-                        and self._gpu_home_of_line(entry.line, op.node)
+                        and self._gpu_home_of_line(line, op.node)
                         != op.node
                     )
 
@@ -424,14 +459,14 @@ class HierarchicalSWProtocol(_SoftwareProtocolBase):
         return 2.0 * self.cfg.latency.inter_gpu_hop
 
     def _boundary_l2_invalidate(self, node: NodeId) -> int:
-        def stale(entry):
+        def stale(line, state):
             # A .sys boundary must drop (a) peer-GPU-owned lines — even
             # at their designated GPU home, since peer-GPU writers make
             # them stale — and (b) lines GPU-homed at another GPM of
             # this GPU, which same-GPU writers make stale.
-            owner = self._owner_of_line(entry.line, node)
+            owner = self._owner_of_line(line, node)
             if owner.gpu != node.gpu:
                 return True
-            return self.amap.gpu_home(entry.line, node.gpu, owner) != node
+            return self.amap.gpu_home(line, node.gpu, owner) != node
 
         return self._bulk_invalidate_l2(node, stale)

@@ -144,10 +144,11 @@ class ThroughputEngine:
                     protocol, sink, telemetry
                 ))
             pre = _telemetry_hook(tracer, sink, sampler)
-        # The loop allocates millions of short-lived objects (outcomes,
-        # cache lines); none of them form cycles, so the cyclic GC's
-        # periodic generation scans are pure overhead — pause it for the
-        # duration.  Reference counting still frees everything promptly.
+        # The loop allocates millions of short-lived objects (victim
+        # tuples, directory entries, the sync ops' outcomes); none of
+        # them form cycles, so the cyclic GC's periodic generation scans
+        # are pure overhead — pause it for the duration.  Reference
+        # counting still frees everything promptly.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -207,14 +208,17 @@ class ThroughputEngine:
                      stall: list, pre=None) -> int:
         """The main loop: ops straight from the trace columns.
 
-        Line, flat GPM and L1 slot columns come from
+        Line, flat GPM, L1 slot and L1/L2 set-index columns come from
         :func:`repro.trace.batch.decoded` (derived once per trace and
         geometry, shared by every protocol cell), the per-op counters
         of :meth:`CoherenceProtocol.process` are applied in bulk by
         :meth:`CoherenceProtocol.count_ops`, and each op goes to its
         handler: loads and stores with decoded arguments, atomics and
-        synchronizing ops (rare) as a materialized ``MemOp``.  ``pre``
-        (telemetry) is called with each op's index and scope first.
+        synchronizing ops (rare) as a materialized ``MemOp``.  Load and
+        store handlers return a code, not an outcome: a load's latency
+        is never exposed, and a store's only when its code is non-zero
+        (GPU-VI's acknowledgment wait).  ``pre`` (telemetry) is called
+        with each op's index and scope first.
         """
         # numpy arrives with repro.trace.batch.  Both are imported on
         # first use, not with this module: importing numpy from inside
@@ -231,6 +235,7 @@ class ThroughputEngine:
         tolerance = cfg.timing.latency_tolerance
         load = protocol._load
         store = protocol._store
+        exposed_latency = protocol.exposed_latency
         sync = protocol.sync_handlers()
         op_at = batch.op_at
         nodes = np.empty(cfg.total_gpms, dtype=object)
@@ -240,25 +245,29 @@ class ThroughputEngine:
         for lo in range(0, n, _CHUNK):
             hi = min(lo + _CHUNK, n)
             flat = cols.flat[lo:hi]
-            for i, kind, line, node, f, slot, scope, size in zip(
+            for i, kind, line, node, f, slot, s1, s2, scope, size in zip(
                     range(lo, hi),
                     batch.kind[lo:hi].tolist(),
                     cols.line[lo:hi].tolist(),
                     nodes[flat].tolist(),
                     flat.tolist(),
                     cols.slot[lo:hi].tolist(),
+                    cols.l1_set[lo:hi].tolist(),
+                    cols.l2_set[lo:hi].tolist(),
                     scopes[batch.scope[lo:hi]].tolist(),
                     batch.size[lo:hi].tolist()):
                 if pre is not None:
                     pre(i, scope)
                 if kind == _LOAD:
-                    outcome = load(line, node, f, slot, scope)
+                    load(line, node, f, slot, s1, s2, scope)
                 elif kind == _STORE:
-                    outcome = store(line, node, f, slot, size)
+                    code = store(line, node, f, slot, s1, s2, size)
+                    if code:
+                        stall[f] += exposed_latency(code) / tolerance
                 else:
                     outcome = sync[kind](op_at(i))
-                if outcome.exposed:
-                    stall[f] += outcome.latency / tolerance
+                    if outcome.exposed:
+                        stall[f] += outcome.latency / tolerance
         return n
 
     def _run_ops(self, protocol: CoherenceProtocol, trace, stall: list,

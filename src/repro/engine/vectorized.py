@@ -172,7 +172,7 @@ def _prepare(batch, cfg, placement: str,
     p.kind = batch.kind.astype(np.int64)
     p.sc = batch.scope.astype(np.int64)
     p.size = batch.size.astype(np.int64)
-    p.n = cols.flat
+    p.n = cols.flat.astype(np.int64)
     p.line = cols.line
     page = batchmap.pages_of_lines(p.line, cfg.lines_per_page)
     p.sector = batchmap.sectors_of_lines(p.line, cfg.dir_lines_per_entry)
@@ -187,7 +187,7 @@ def _prepare(batch, cfg, placement: str,
     home_gpm = batchmap.home_gpm_of_sectors(p.sector, G)
     p.gh = np.where(p.sh // G == gpu, p.sh, gpu * G + home_gpm)
     p.pay = np.minimum(p.size, cfg.line_size)
-    p.sl = cols.slot
+    p.sl = cols.slot.astype(np.int64)
     same_gpu = p.n // G == p.sh // G
     p.hop_nh = np.where(
         p.n == p.sh, 0,

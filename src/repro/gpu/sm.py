@@ -10,6 +10,7 @@ must be waited on.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from repro.config import SystemConfig
@@ -35,14 +36,20 @@ class SMCluster:
         self.cfg = cfg
         self.issue_interval = 1.0 / cfg.timing.issue_rate_per_gpm
         self.max_outstanding = max_outstanding
-        #: Completion times of in-flight operations (kept sorted lazily).
+        #: Completion times of in-flight operations, a min-heap.
         self._inflight: list = []
+        #: Latest completion time ever issued.
+        self._last_done = 0.0
         #: Earliest time the next op may issue.
         self.next_issue = 0.0
         self.stats = SMClusterStats()
 
     def _drain(self, now: float) -> None:
-        self._inflight = [t for t in self._inflight if t > now]
+        """Retire every op completed by ``now``.  Issue times only grow,
+        so the retired ops are always the heap's smallest."""
+        inflight = self._inflight
+        while inflight and inflight[0] <= now:
+            heapq.heappop(inflight)
 
     def issue(self, now_hint: float, completion_of) -> float:
         """Issue the next op.
@@ -56,12 +63,14 @@ class SMCluster:
         self._drain(t)
         if len(self._inflight) >= self.max_outstanding:
             # Wait for the oldest in-flight op to retire.
-            oldest = min(self._inflight)
+            oldest = self._inflight[0]
             self.stats.window_full_cycles += oldest - t
             t = oldest
             self._drain(t)
         done = completion_of(t)
-        self._inflight.append(done)
+        heapq.heappush(self._inflight, done)
+        if done > self._last_done:
+            self._last_done = done
         self.stats.issued += 1
         self.next_issue = t + self.issue_interval
         return t
@@ -75,4 +84,8 @@ class SMCluster:
 
     @property
     def busy_until(self) -> float:
-        return max([self.next_issue] + self._inflight)
+        # A retired op completed no later than the issue that retired
+        # it, which precedes ``next_issue``; so the running maximum
+        # equals the maximum over the ops still in flight whenever it
+        # exceeds ``next_issue``.
+        return max(self.next_issue, self._last_done)

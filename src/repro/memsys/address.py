@@ -57,6 +57,12 @@ class AddressMap:
     def line_bits(self) -> int:
         return self._line_bits
 
+    @property
+    def sector_bits(self) -> int:
+        """``log2(dir_lines_per_entry)``: ``line >> sector_bits`` is
+        :meth:`sector_of_line`."""
+        return self._sector_bits
+
     def line_of(self, address: int) -> int:
         """Cache-line index containing a byte address."""
         return address >> self._line_bits

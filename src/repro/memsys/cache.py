@@ -6,25 +6,39 @@ data it holds (see DESIGN.md Section 6) plus flags the protocols need:
 dirty (for writeback configurations) and whether the line's home is a
 remote node (so bulk software invalidations can target exactly the
 remotely-homed lines).
+
+Each set is a dict from line index to one packed int,
+``version << 2 | dirty << 1 | remote`` (:data:`DIRTY`, :data:`REMOTE`),
+so a fill allocates no per-line object.  The hot accessors — :meth:`probe` and
+:meth:`fill` — take the line's set index from the caller, which derives
+it once per trace op (:func:`repro.trace.batch.decoded`) or hashes with
+:meth:`SetAssociativeCache.set_index`.  :class:`CacheLine` is only a
+read-only snapshot for tests, the sanitizer and tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
+
+#: Flag bits of a packed line state, ``version << 2 | dirty << 1 |
+#: remote``.
+REMOTE = 1
+DIRTY = 2
 
 
-class CacheLine:
-    """Metadata for one resident cache line."""
+class CacheLine(NamedTuple):
+    """Read-only snapshot of one resident line (see :meth:`peek`)."""
 
-    __slots__ = ("line", "version", "dirty", "remote")
+    line: int
+    version: int = 0
+    dirty: bool = False
+    remote: bool = False
 
-    def __init__(self, line: int, version: int = 0, dirty: bool = False,
-                 remote: bool = False):
-        self.line = line
-        self.version = version
-        self.dirty = dirty
-        self.remote = remote
+    @classmethod
+    def unpack(cls, line: int, state: int) -> "CacheLine":
+        return cls(line, state >> 2, bool(state & DIRTY),
+                   bool(state & REMOTE))
 
     def __repr__(self) -> str:
         flags = ("D" if self.dirty else "") + ("R" if self.remote else "")
@@ -66,12 +80,11 @@ class SetAssociativeCache:
     """A set-associative cache of line indices with true-LRU replacement.
 
     Keys are *line indices* (byte address >> line bits), not byte
-    addresses; set index uses the low bits of the line index.  Python
-    dict insertion order implements the LRU stack: most-recently-used
-    lines sit at the end of their set's dict.
+    addresses.  Python dict insertion order implements the LRU stack:
+    most-recently-used lines sit at the end of their set's dict.
     """
 
-    __slots__ = ("name", "ways", "num_sets", "line_size", "_sets",
+    __slots__ = ("name", "ways", "num_sets", "line_size", "sets",
                  "_set_mask", "stats")
 
     def __init__(self, capacity_bytes: int, line_size: int, ways: int,
@@ -88,11 +101,10 @@ class SetAssociativeCache:
         self.ways = ways
         self.num_sets = total_lines // ways
         self.line_size = line_size
-        self._sets: list[dict[int, CacheLine]] = [
-            {} for _ in range(self.num_sets)
-        ]
+        #: Per-set dicts, line -> packed state.
+        self.sets: list[dict[int, int]] = [{} for _ in range(self.num_sets)]
         # Power-of-two set counts (the common case) index with a mask
-        # instead of a modulo on the hot lookup/fill path.
+        # instead of a modulo.
         self._set_mask = (
             self.num_sets - 1
             if self.num_sets & (self.num_sets - 1) == 0
@@ -106,139 +118,136 @@ class SetAssociativeCache:
     def capacity_lines(self) -> int:
         return self.num_sets * self.ways
 
-    def _set_for(self, line: int) -> dict:
-        # Fibonacci multiplicative hashing of the line index: strided
-        # access patterns (ubiquitous in GPU workloads) would otherwise
-        # pile onto a handful of sets.  Real GPU L2s hash set indices
-        # for the same reason.  The hot accessors (lookup/fill/peek/
-        # invalidate) inline this computation; keep the two in sync.
-        mixed = (line * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    def set_index(self, line: int) -> int:
+        """Set index of a line: Fibonacci multiplicative hashing, because
+        strided access patterns (ubiquitous in GPU workloads) would
+        otherwise pile onto a handful of sets — real GPU L2s hash set
+        indices for the same reason.  Twin of
+        :func:`repro.core.batchmap.cache_set_of`; keep the two in sync."""
+        mixed = ((line * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF) >> 33
         if self._set_mask is not None:
-            return self._sets[(mixed >> 33) & self._set_mask]
-        return self._sets[(mixed >> 33) % self.num_sets]
+            return mixed & self._set_mask
+        return mixed % self.num_sets
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self.sets)
 
     def __contains__(self, line: int) -> bool:
-        return line in self._set_for(line)
+        return line in self.sets[self.set_index(line)]
 
     def lines(self) -> Iterator[CacheLine]:
-        """Iterate over all resident lines (no particular order)."""
-        for s in self._sets:
-            yield from s.values()
+        """Snapshot every resident line (no particular order)."""
+        for s in self.sets:
+            for line, state in s.items():
+                yield CacheLine.unpack(line, state)
+
+    def peek(self, line: int) -> Optional[CacheLine]:
+        """Snapshot a line without counting statistics or updating LRU."""
+        state = self.sets[self.set_index(line)].get(line)
+        return None if state is None else CacheLine.unpack(line, state)
 
     # ------------------------------------------------------------------
 
-    def lookup(self, line: int, touch: bool = True) -> Optional[CacheLine]:
-        """Probe for a line; counts a hit or miss.  ``touch`` updates LRU."""
-        mixed = (line * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        mask = self._set_mask
-        if mask is not None:
-            cset = self._sets[(mixed >> 33) & mask]
-        else:
-            cset = self._sets[(mixed >> 33) % self.num_sets]
-        entry = cset.get(line)
-        if entry is None:
+    def probe(self, line: int, s: int) -> int:
+        """Look ``line`` up in set ``s``: its version, or -1 on a miss.
+        Counts the hit or miss and makes a hit the set's MRU line."""
+        cset = self.sets[s]
+        state = cset.pop(line, None)
+        if state is None:
             self.stats.misses += 1
-            return None
+            return -1
+        cset[line] = state
         self.stats.hits += 1
-        if touch:
-            del cset[line]
-            cset[line] = entry
-        return entry
+        return state >> 2
 
-    def peek(self, line: int) -> Optional[CacheLine]:
-        """Probe without counting statistics or updating LRU."""
-        mixed = (line * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        mask = self._set_mask
-        if mask is not None:
-            return self._sets[(mixed >> 33) & mask].get(line)
-        return self._sets[(mixed >> 33) % self.num_sets].get(line)
+    def fill(self, line: int, s: int, state: int) -> Optional[tuple]:
+        """Insert ``line`` into set ``s`` with packed ``state``, as MRU.
 
-    def fill(self, line: int, version: int, dirty: bool = False,
-             remote: bool = False) -> Optional[CacheLine]:
-        """Insert a line, returning the evicted victim (if any).
-
-        If the line is already resident its metadata is refreshed in
-        place and ``None`` is returned.
+        Returns the evicted ``(line, state)``, or ``None``.  A resident
+        line is refreshed instead: it keeps the newer version, stays
+        dirty if it was, and takes the new remote flag.
         """
-        mixed = (line * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        mask = self._set_mask
-        if mask is not None:
-            cset = self._sets[(mixed >> 33) & mask]
-        else:
-            cset = self._sets[(mixed >> 33) % self.num_sets]
-        existing = cset.pop(line, None)
-        if existing is not None:
-            if version > existing.version:
-                existing.version = version
-            existing.dirty = existing.dirty or dirty
-            existing.remote = remote
-            cset[line] = existing
+        cset = self.sets[s]
+        if line in cset:
+            old = cset.pop(line)
+            if old >> 2 > state >> 2:
+                state = (old & ~3) | (state & 3)
+            cset[line] = state | (old & DIRTY)
             return None
         stats = self.stats
-        victim = None
-        if len(cset) >= self.ways:
-            victim = cset.pop(next(iter(cset)))
-            stats.evictions += 1
-            if victim.dirty:
-                stats.dirty_evictions += 1
-        cset[line] = CacheLine(line, version, dirty, remote)
         stats.fills += 1
-        return victim
+        if len(cset) >= self.ways:
+            victim = next(iter(cset))
+            vstate = cset.pop(victim)
+            stats.evictions += 1
+            if vstate & DIRTY:
+                stats.dirty_evictions += 1
+            cset[line] = state
+            return victim, vstate
+        cset[line] = state
+        return None
 
-    def write(self, line: int, version: int, dirty: bool = False,
-              remote: bool = False) -> Optional[CacheLine]:
-        """Store into the cache (allocate-on-write); same return as fill."""
-        return self.fill(line, version, dirty=dirty, remote=remote)
+    def mark_dirty(self, line: int, s: int) -> None:
+        """Set the dirty bit of ``line`` in set ``s`` if it is resident
+        (no statistics, no LRU update)."""
+        cset = self.sets[s]
+        state = cset.get(line)
+        if state is not None:
+            cset[line] = state | DIRTY
 
-    def invalidate(self, line: int) -> Optional[CacheLine]:
-        """Drop a single line if present, returning it."""
-        mixed = (line * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        mask = self._set_mask
-        if mask is not None:
-            cset = self._sets[(mixed >> 33) & mask]
-        else:
-            cset = self._sets[(mixed >> 33) % self.num_sets]
-        entry = cset.pop(line, None)
-        if entry is not None:
-            self.stats.invalidated_lines += 1
-        return entry
+    def invalidate(self, line: int) -> Optional[tuple]:
+        """Drop a single line, returning it as ``(line, state)`` (the
+        shape of a :meth:`fill` victim), or ``None`` if absent."""
+        state = self.sets[self.set_index(line)].pop(line, None)
+        if state is None:
+            return None
+        self.stats.invalidated_lines += 1
+        return line, state
 
     def invalidate_where(
-        self, predicate: Callable[[CacheLine], bool]
-    ) -> list[CacheLine]:
-        """Bulk-invalidate all lines matching ``predicate``.
+        self, predicate: Callable[[int, int], bool]
+    ) -> int:
+        """Bulk-invalidate every line for which ``predicate(line,
+        state)`` holds; returns how many were dropped.
 
-        Used by the software protocols' acquire-time flash invalidations
-        (e.g. "drop every remotely-homed line").  Returns dropped lines
-        so callers can account dirty writebacks.
+        Used by the software protocols' acquire-time flash
+        invalidations (see :meth:`invalidate_remote` for the common
+        "drop every remotely-homed line" case).
         """
-        dropped: list[CacheLine] = []
-        for cset in self._sets:
-            if not cset:
-                continue
-            doomed = [ln for ln, entry in cset.items() if predicate(entry)]
-            for ln in doomed:
-                dropped.append(cset.pop(ln))
-        self.stats.invalidated_lines += len(dropped)
-        self.stats.bulk_invalidations += 1
-        return dropped
-
-    def invalidate_all(self) -> list[CacheLine]:
-        """Flash-clear the whole cache (L1 on acquire).
-
-        Equivalent to ``invalidate_where(lambda e: True)`` but skips the
-        per-entry predicate calls; acquire-heavy workloads flash L1
-        slices constantly.
-        """
-        dropped: list[CacheLine] = []
-        for cset in self._sets:
+        dropped = 0
+        for cset in self.sets:
             if cset:
-                dropped.extend(cset.values())
+                doomed = [ln for ln, state in cset.items()
+                          if predicate(ln, state)]
+                for ln in doomed:
+                    del cset[ln]
+                dropped += len(doomed)
+        return self._bulk(dropped)
+
+    def invalidate_remote(self) -> int:
+        """Bulk-invalidate every remotely-homed line (the remote flag
+        set); returns how many were dropped."""
+        dropped = 0
+        for cset in self.sets:
+            if cset:
+                doomed = [ln for ln, state in cset.items() if state & REMOTE]
+                for ln in doomed:
+                    del cset[ln]
+                dropped += len(doomed)
+        return self._bulk(dropped)
+
+    def invalidate_all(self) -> int:
+        """Flash-clear the whole cache (L1 on acquire); returns how many
+        lines were dropped."""
+        dropped = 0
+        for cset in self.sets:
+            if cset:
+                dropped += len(cset)
                 cset.clear()
-        self.stats.invalidated_lines += len(dropped)
+        return self._bulk(dropped)
+
+    def _bulk(self, dropped: int) -> int:
+        self.stats.invalidated_lines += dropped
         self.stats.bulk_invalidations += 1
         return dropped
 
@@ -248,26 +257,19 @@ class SetAssociativeCache:
 
 
 class NullCache(SetAssociativeCache):
-    """A cache that never holds anything — every lookup misses.
-
-    Stands in for the L2's remote-data capacity under the
-    no-remote-caching baseline without special-casing call sites.
-    """
+    """A cache that never holds anything — every probe misses."""
 
     __slots__ = ()
 
     def __init__(self, line_size: int = 128, name: str = "null"):
         super().__init__(line_size, line_size, 1, name=name)
 
-    def lookup(self, line: int, touch: bool = True) -> Optional[CacheLine]:
+    def probe(self, line: int, s: int) -> int:
         self.stats.misses += 1
+        return -1
+
+    def fill(self, line: int, s: int, state: int) -> Optional[tuple]:
         return None
 
-    def peek(self, line: int) -> Optional[CacheLine]:
-        return None
-
-    def fill(self, line: int, version: int, dirty: bool = False,
-             remote: bool = False) -> Optional[CacheLine]:
-        return None
-
-    write = fill
+    def mark_dirty(self, line: int, s: int) -> None:
+        pass

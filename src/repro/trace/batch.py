@@ -15,9 +15,9 @@ demand by :meth:`BatchTrace.iter_ops` / :meth:`BatchTrace.op_at`;
 nothing keeps them.
 
 Columns that depend on the platform geometry (line indices, flat GPM
-and L1 slot numbers, the per-kind and per-GPM op counts) are derived
-once per geometry by :func:`decoded` and memoized in
-:attr:`BatchTrace.prepared`, so every protocol cell of a sweep — on
+and L1 slot numbers, L1 and L2 set indices, the per-kind and per-GPM op
+counts) are derived once per geometry by :func:`decoded` and memoized
+in :attr:`BatchTrace.prepared`, so every protocol cell of a sweep — on
 either throughput engine — shares them.
 """
 
@@ -177,10 +177,15 @@ class BatchTrace:
 
 
 class Decoded:
-    """Geometry-derived columns of one trace (see :func:`decoded`)."""
+    """Geometry-derived columns of one trace (see :func:`decoded`).
 
-    __slots__ = ("line", "flat", "slot", "kind_order", "kind_counts",
-                 "ops_per_gpm")
+    The index columns are stored in the smallest unsigned dtype that
+    holds them (uint8 at the CLI's default 1/16 scale); cast before
+    doing arithmetic on them.
+    """
+
+    __slots__ = ("line", "flat", "slot", "l1_set", "l2_set", "kind_order",
+                 "kind_counts", "ops_per_gpm")
 
     def __init__(self, batch: BatchTrace, cfg):
         G = cfg.gpms_per_gpu
@@ -188,10 +193,20 @@ class Decoded:
         #: Cache line index of every op (int64).
         self.line = batchmap.lines_of(batch.address,
                                       cfg.line_size.bit_length() - 1)
-        #: Flat GPM index, ``gpu * gpms_per_gpu + gpm`` (int64).
-        self.flat = batch.gpu.astype(np.int64) * G + batch.gpm
-        #: Flat L1 slice index, ``flat * slices + cta % slices`` (int64).
-        self.slot = self.flat * S + batch.cta % S
+        flat = batch.gpu.astype(np.int64) * G + batch.gpm
+        #: Flat GPM index, ``gpu * gpms_per_gpu + gpm``.
+        self.flat = batchmap.narrow(flat, cfg.total_gpms - 1)
+        #: Flat L1 slice index, ``flat * slices + cta % slices``.
+        self.slot = batchmap.narrow(flat * S + batch.cta % S,
+                                    cfg.total_gpms * S - 1)
+        #: L1 and L2 set index of the op's line: every L1 slice shares
+        #: one geometry and every L2 partition another, so one column
+        #: per level serves the local and both home probes.
+        l1_sets, l2_sets = cache_sets(cfg)
+        self.l1_set = batchmap.narrow(
+            batchmap.cache_set_of(self.line, l1_sets), l1_sets - 1)
+        self.l2_set = batchmap.narrow(
+            batchmap.cache_set_of(self.line, l2_sets), l2_sets - 1)
         kinds = batch.kind
         counts = np.bincount(kinds, minlength=len(_OP_TYPES))
         present = np.flatnonzero(counts)
@@ -207,11 +222,19 @@ class Decoded:
             self.flat, minlength=cfg.total_gpms).tolist()
 
 
+def cache_sets(cfg) -> tuple:
+    """Set counts of an L1 slice and of an L2 partition under ``cfg``
+    (mirrors :class:`repro.memsys.cache.SetAssociativeCache`)."""
+    line = cfg.line_size
+    return (cfg.l1_bytes_per_slice // line // cfg.l1_ways,
+            cfg.l2_bytes_per_gpm // line // cfg.l2_ways)
+
+
 def decoded(batch: BatchTrace, cfg) -> Decoded:
     """The trace's :class:`Decoded` columns for ``cfg``'s geometry,
     derived on first use and memoized on the batch."""
     key = ("decoded", cfg.line_size, cfg.num_gpus, cfg.gpms_per_gpu,
-           cfg.l1_slices_per_gpm)
+           cfg.l1_slices_per_gpm, *cache_sets(cfg))
     hit = batch.prepared.get(key)
     if hit is None:
         hit = batch.prepared[key] = Decoded(batch, cfg)

@@ -276,6 +276,16 @@ class TestCheckPerfHistory:
         assert "commit" not in bench["history"][1]
         assert bench["history"][1]["engine"] == "vectorized"
 
+    def test_host_fingerprint_and_calibration(self):
+        check_perf = self._module()
+        host = check_perf.host_fingerprint()
+        assert set(host) == {"cpu", "nproc", "python", "numpy"}
+        assert host["cpu"] and host["nproc"] >= 1
+        # Fixed work: the kernel's result never depends on the host.
+        assert check_perf._calibration_kernel(1000) == \
+            check_perf._calibration_kernel(1000)
+        assert check_perf.calibration_score(repeats=1) > 0
+
     def test_committed_bench_has_history(self):
         bench = json.loads(
             (Path(__file__).resolve().parent.parent

@@ -72,7 +72,7 @@ class TestProtocolEdges:
         assert proto.dirs[proto.flat(ghome)].lookup(
             sector, touch=False) is None
         # And the writer is the sole copy-holder again.
-        assert proto.l2[proto.flat(reader)].lookup(line) is None
+        assert proto.l2[proto.flat(reader)].peek(line) is None
 
 
 class TestModelEdges:

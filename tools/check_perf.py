@@ -16,6 +16,14 @@ than ``--tolerance`` (default 30%) below the committed baseline in
     PYTHONPATH=src python tools/check_perf.py
     PYTHONPATH=src python tools/check_perf.py --update --repeats 5
 
+Every run also prints a host fingerprint (CPU model, core count,
+Python and numpy versions) and a calibration score — iterations per
+second of a fixed pure-Python kernel shaped like the simulator's hot
+path (integer hashing and dict churn) — and ``--update`` records both
+beside ``latest``.  They are report-only: the gate still compares raw
+ops/sec against the baseline, but a reader can tell whether two
+measurements came from comparable hosts.
+
 ``--telemetry-overhead`` additionally measures the same microbench
 with a no-op :class:`repro.telemetry.TelemetrySession` attached — the
 telemetry-off contract says the instrumented engines must stay within
@@ -26,6 +34,8 @@ telemetry-free path against the committed baseline).
 
 import argparse
 import json
+import os
+import platform
 import subprocess
 import sys
 import time
@@ -92,6 +102,53 @@ def measure_once(engine: str = "scalar",
             ops += result.ops
             wall += result.wall_seconds
     return ops / wall
+
+
+#: Iterations of the calibration kernel per timed pass.
+CALIBRATION_ITERS = 200_000
+
+
+def host_fingerprint() -> dict:
+    """CPU model, core count and toolchain versions of this host."""
+    import numpy
+
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    cpu = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {"cpu": cpu, "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__}
+
+
+def _calibration_kernel(iters: int) -> int:
+    """Fixed work shaped like the simulator's hot path: a Fibonacci
+    hash per step and a dict pop-or-insert."""
+    table = {}
+    total = 0
+    for i in range(iters):
+        key = ((i * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF) >> 50
+        value = table.pop(key, None)
+        if value is None:
+            table[key] = i
+        else:
+            total += value
+    return total
+
+
+def calibration_score(repeats: int = 5) -> float:
+    """Calibration kernel iterations per second, best of ``repeats``."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        _calibration_kernel(CALIBRATION_ITERS)
+        best = min(best, time.perf_counter() - start)
+    return CALIBRATION_ITERS / best
 
 
 def current_commit() -> str:
@@ -163,6 +220,12 @@ def main(argv=None) -> int:
     engines = (("scalar", "vectorized") if args.engine == "both"
                else (args.engine,))
 
+    host = host_fingerprint()
+    calibration = calibration_score()
+    print("host: " + ", ".join(f"{k}={v}" for k, v in host.items()))
+    print(f"calibration: {calibration:,.0f} iterations/sec "
+          f"(report only; not gated)")
+
     failed = False
     best = 0.0  # last engine's best; telemetry compare uses scalar's
     scalar_best = None
@@ -191,6 +254,8 @@ def main(argv=None) -> int:
                 "ops_per_second": round(best),
                 "passes": max(1, args.repeats),
                 "recorded": time.strftime("%Y-%m-%d"),
+                "host": host,
+                "calibration_per_second": round(calibration),
             }
         if args.record:
             entry = append_history(bench, best, engine=engine,
